@@ -40,7 +40,7 @@ class Aggregator {
  public:
   virtual ~Aggregator() = default;
 
-  // The client-facing entry points (aggregate and the streaming quartet
+  // The client-facing entry points (aggregate and the streaming protocol
   // below) are non-virtual template methods: they run the ingress
   // sanitize layer (defense/sanitize.h — finite-check every update row,
   // clamp outlier reported weights) and then dispatch to the protected
@@ -87,29 +87,33 @@ class Aggregator {
   //
   // Rules that can fold updates one at a time — without ever holding the
   // round's full update matrix — opt in by overriding supports_streaming()
-  // and the three hooks below. The server then calls
+  // and the do_* stream hooks below. The server then drives
   //
-  //   begin_stream(dim, weights);        // all round weights, up front
-  //   stream_update(u_0); ... stream_update(u_{n-1});   // submission order
-  //   finish_stream();
-  //
-  // and may free each update buffer as soon as its stream_update returns,
-  // bounding server memory by the training-wave size instead of n.
-  //
-  // Between the last stream_update and finish_stream, the server asks
-  // stream_replay_request() for the (possibly empty) index set the rule
-  // wants to see again at full dimension — the bounded second pass behind
-  // the sketched selection rules (defense/sketch.h): ranking happens on
-  // O(k) sketches, and only the O(f + band) updates near the decision
-  // boundary are replayed for the exact re-check and the final mean.
-  // Client training is a pure function of (global model, seed), so the
-  // server re-derives a replayed update bit-for-bit instead of storing it.
-  //
-  //   begin_stream(dim, weights);
+  //   begin_stream(dim, weights);                       // weights up front
   //   stream_update(u_0); ... stream_update(u_{n-1});   // submission order
   //   for i in stream_replay_request():                 // ascending
   //     stream_replay(i, u_i);                          // same bits as pass 1
   //   finish_stream();
+  //
+  // and may free each update buffer as soon as its stream_update returns,
+  // bounding server memory by the training-wave size instead of n. The
+  // replay pass is the bounded second look behind the sketched selection
+  // rules (defense/sketch.h): ranking happens on O(k) sketches, and only
+  // the O(f + band) updates near the decision boundary come back at full
+  // dimension. Client training is a pure function of (global model, seed),
+  // so the server re-derives a replayed update instead of storing it.
+  //
+  // The base class enforces the protocol; rules implement folds. The
+  // public entry points are non-virtual and own the stream state (open or
+  // closed, dim, the announced count n, the next slot, the cached replay
+  // request and its cursor), so every misuse — a second begin_stream, a
+  // row with no open stream, an extra row, a wrong dimension, an
+  // unrequested or out-of-order replay, an early finish_stream, unserved
+  // replays, or a batch-only rule — raises util::ContractViolation before
+  // any hook runs. The hooks see only well-formed sequences: do_stream_update
+  // is handed its slot in submission order, do_stream_replay_request runs
+  // at most once per stream and only after all n rows, and
+  // do_finish_stream only once every requested replay is served.
   //
   // Contract: streaming produces a bitwise-identical model to aggregate()
   // given the same updates in the same order whenever streaming_exact() is
@@ -134,8 +138,7 @@ class Aggregator {
   virtual bool streaming_exact() const noexcept { return true; }
 
   /// Starts a streaming round: `dim` coordinates per update, one weight
-  /// per forthcoming stream_update call, in call order. Throws unless the
-  /// rule supports streaming.
+  /// per forthcoming stream_update call, in call order.
   void begin_stream(std::size_t dim, std::span<const std::int64_t> weights);
 
   /// Folds the next update (submission order). The view need only stay
@@ -144,36 +147,49 @@ class Aggregator {
 
   /// After the last stream_update: the ascending index set (into the
   /// streamed order) this rule needs replayed at full dimension before
-  /// finish_stream(). Default: none. The span stays valid until
-  /// finish_stream() returns.
-  virtual std::span<const std::size_t> stream_replay_request() { return {}; }
+  /// finish_stream(). Computed once per stream; the span stays valid
+  /// until finish_stream() returns.
+  std::span<const std::size_t> stream_replay_request();
 
-  /// Replays update `index` (must be the next unserved entry of
-  /// stream_replay_request(), ascending) with exactly the bits it had in
-  /// the first pass — sanitization is deterministic, so re-admitting the
-  /// original bytes reproduces the pass-1 row exactly. Throws for rules
-  /// that never request replays.
+  /// Replays update `index` (the next unserved entry of
+  /// stream_replay_request()) with exactly the bits it had in the first
+  /// pass — sanitization is deterministic, so re-admitting the original
+  /// bytes reproduces the pass-1 row exactly.
   void stream_replay(std::size_t index, UpdateView update);
 
   /// Finishes the round and returns the aggregate, exactly as aggregate()
   /// would have when streaming_exact(). Requires one stream_update per
   /// begin_stream weight, plus every requested replay.
-  virtual AggregationResult finish_stream();
+  AggregationResult finish_stream();
 
  protected:
-  // Per-rule implementations, called with sanitized input. Overrides must
-  // still establish their own contract (validate_updates / ZKA_CHECK):
-  // sanitization normalizes values, it does not prove shapes.
+  // Per-rule implementations, called with sanitized input. do_aggregate
+  // must still establish its own contract (validate_updates / ZKA_CHECK):
+  // sanitization normalizes values, it does not prove shapes. The stream
+  // hooks get their shape contract from the wrappers above.
   virtual AggregationResult do_aggregate(
       std::span<const UpdateView> updates,
       std::span<const std::int64_t> weights) = 0;
   virtual void do_begin_stream(std::size_t dim,
                                std::span<const std::int64_t> weights);
-  virtual void do_stream_update(UpdateView update);
+  virtual void do_stream_update(std::size_t slot, UpdateView update);
+  virtual std::span<const std::size_t> do_stream_replay_request() {
+    return {};
+  }
   virtual void do_stream_replay(std::size_t index, UpdateView update);
+  virtual AggregationResult do_finish_stream();
 
  private:
   sanitize::Ingress ingress_;
+
+  // Streaming protocol state (see the contract above).
+  bool stream_open_ = false;
+  std::size_t stream_dim_ = 0;
+  std::size_t stream_n_ = 0;
+  std::size_t stream_next_ = 0;
+  bool replay_requested_ = false;
+  std::span<const std::size_t> replay_;
+  std::size_t replay_next_ = 0;
 };
 
 /// View list over a vector of owning updates (no copies).

@@ -41,46 +41,21 @@ AggregationResult FedAvg::do_aggregate(std::span<const UpdateView> updates,
 
 void FedAvg::do_begin_stream(std::size_t dim,
                           std::span<const std::int64_t> weights) {
-  ZKA_CHECK(!streaming_, "FedAvg: begin_stream during an open stream");
-  ZKA_CHECK(dim > 0, "FedAvg: empty update dimension");
-  ZKA_CHECK(!weights.empty(), "FedAvg: no weights for streaming round");
-  for (const std::int64_t w : weights) {
-    ZKA_CHECK(w >= 0, "FedAvg: negative weight %lld",
-              static_cast<long long>(w));
-  }
   stream_coeffs_ = fedavg_coefficients(weights);
   stream_acc_.assign(dim, 0.0);
-  stream_next_ = 0;
-  streaming_ = true;
 }
 
-void FedAvg::do_stream_update(UpdateView update) {
+void FedAvg::do_stream_update(std::size_t slot, UpdateView update) {
   ZKA_PROF_SCOPE("aggregate/fedavg_stream");
-  ZKA_CHECK(streaming_, "FedAvg: stream_update without begin_stream");
-  ZKA_CHECK(stream_next_ < stream_coeffs_.size(),
-            "FedAvg: more updates streamed than weights announced (%zu)",
-            stream_coeffs_.size());
-  ZKA_CHECK(update.size() == stream_acc_.size(),
-            "FedAvg: streamed update has %zu coordinates, expected %zu",
-            update.size(), stream_acc_.size());
-  // Finiteness is the ingress layer's job (defense/sanitize.h), applied by
-  // Aggregator::stream_update before this hook runs.
-  tensor::axpy(stream_coeffs_[stream_next_], update,
-               std::span<double>(stream_acc_));
-  ++stream_next_;
+  tensor::axpy(stream_coeffs_[slot], update, std::span<double>(stream_acc_));
 }
 
-AggregationResult FedAvg::finish_stream() {
-  ZKA_CHECK(streaming_, "FedAvg: finish_stream without begin_stream");
-  ZKA_CHECK(stream_next_ == stream_coeffs_.size(),
-            "FedAvg: %zu of %zu announced updates streamed", stream_next_,
-            stream_coeffs_.size());
+AggregationResult FedAvg::do_finish_stream() {
   AggregationResult result;
   result.model.resize(stream_acc_.size());
   for (std::size_t i = 0; i < stream_acc_.size(); ++i) {
     result.model[i] = static_cast<float>(stream_acc_[i]);
   }
-  streaming_ = false;
   stream_coeffs_.clear();
   // clear() only: the capacity stays with the aggregator so the next
   // round's begin_stream assign() reuses it instead of reallocating dim

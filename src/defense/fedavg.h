@@ -21,14 +21,12 @@ class FedAvg : public Aggregator {
   bool supports_streaming() const noexcept override { return true; }
   void do_begin_stream(std::size_t dim,
                     std::span<const std::int64_t> weights) override;
-  void do_stream_update(UpdateView update) override;
-  AggregationResult finish_stream() override;
+  void do_stream_update(std::size_t slot, UpdateView update) override;
+  AggregationResult do_finish_stream() override;
 
  private:
   std::vector<double> stream_coeffs_;
   std::vector<double> stream_acc_;
-  std::size_t stream_next_ = 0;
-  bool streaming_ = false;
 };
 
 /// FedAvg mixing coefficients: weights normalized by their sum, or the

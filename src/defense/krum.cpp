@@ -1,7 +1,6 @@
 #include "defense/krum.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "defense/distance.h"
@@ -124,26 +123,11 @@ AggregationResult MultiKrum::do_aggregate(std::span<const UpdateView> updates,
 }
 
 void MultiKrum::do_begin_stream(std::size_t dim,
-                             std::span<const std::int64_t> weights) {
-  ZKA_CHECK(supports_streaming(), "%s: streaming needs sketch_dim > 0",
-            name().c_str());
-  ZKA_CHECK(!streaming_, "%s: begin_stream during an open stream",
-            name().c_str());
-  ZKA_CHECK(dim > 0, "%s: empty update dimension", name().c_str());
+                                std::span<const std::int64_t> weights) {
   const std::size_t n = weights.size();
-  ZKA_CHECK(n > 0, "%s: no weights for streaming round", name().c_str());
   ZKA_CHECK(n == 1 || f_ < n,
             "MultiKrum: assumed Byzantine count f=%zu must be < n=%zu", f_, n);
-  for (const std::int64_t w : weights) {
-    ZKA_CHECK(w >= 0, "%s: negative weight %lld", name().c_str(),
-              static_cast<long long>(w));
-  }
-  streaming_ = true;
   stream_dim_ = dim;
-  stream_n_ = n;
-  stream_next_ = 0;
-  stream_planned_ = false;
-  stream_replay_next_ = 0;
   stream_weights_.assign(weights.begin(), weights.end());
   stream_buffered_ = n == 1 || !sketch_.enabled_for(n, dim);
   if (stream_buffered_) {
@@ -157,88 +141,47 @@ void MultiKrum::do_begin_stream(std::size_t dim,
   stream_sum_.assign(dim, 0.0);
 }
 
-void MultiKrum::do_stream_update(UpdateView update) {
+void MultiKrum::do_stream_update(std::size_t slot, UpdateView update) {
   ZKA_PROF_SCOPE("aggregate/mkrum_stream");
-  ZKA_CHECK(streaming_, "%s: stream_update without begin_stream",
-            name().c_str());
-  ZKA_CHECK(stream_next_ < stream_n_,
-            "%s: more updates streamed than weights announced (%zu)",
-            name().c_str(), stream_n_);
-  ZKA_CHECK(update.size() == stream_dim_,
-            "%s: streamed update has %zu coordinates, expected %zu",
-            name().c_str(), update.size(), stream_dim_);
-  for (const float value : update) {
-    ZKA_CHECK(std::isfinite(value), "%s: non-finite value in streamed update %zu",
-              name().c_str(), stream_next_);
-  }
   if (stream_buffered_) {
     stream_buffer_.emplace_back(update.begin(), update.end());
   } else {
     stream_sketch_->project(
         update, stream_scratch_,
-        std::span<float>(stream_rows_.data() + stream_next_ * sketch_.sketch_dim,
+        std::span<float>(stream_rows_.data() + slot * sketch_.sketch_dim,
                          sketch_.sketch_dim));
     tensor::axpy(1.0, update, std::span<double>(stream_sum_));
   }
-  ++stream_next_;
 }
 
-std::span<const std::size_t> MultiKrum::stream_replay_request() {
-  ZKA_CHECK(streaming_, "%s: stream_replay_request without begin_stream",
-            name().c_str());
-  ZKA_CHECK(stream_next_ == stream_n_,
-            "%s: %zu of %zu announced updates streamed", name().c_str(),
-            stream_next_, stream_n_);
+std::span<const std::size_t> MultiKrum::do_stream_replay_request() {
   if (stream_buffered_) return {};
-  if (!stream_planned_) {
-    stream_plan_ = plan_sketched_selection(
-        sketched_order(stream_rows_, stream_n_, sketch_.sketch_dim, f_,
-                       selection_size(stream_n_), /*iterative=*/false),
-        stream_n_, f_, selection_size(stream_n_), sketch_.recheck_band);
-    stream_replayed_.resize(stream_plan_.replay.size() * stream_dim_);
-    stream_replay_next_ = 0;
-    stream_planned_ = true;
-  }
+  const std::size_t n = stream_weights_.size();
+  stream_plan_ = plan_sketched_selection(
+      sketched_order(stream_rows_, n, sketch_.sketch_dim, f_,
+                     selection_size(n), /*iterative=*/false),
+      n, f_, selection_size(n), sketch_.recheck_band);
+  stream_replayed_.clear();
+  stream_replayed_.reserve(stream_plan_.replay.size() * stream_dim_);
   return stream_plan_.replay;
 }
 
 void MultiKrum::do_stream_replay(std::size_t index, UpdateView update) {
-  ZKA_CHECK(streaming_ && stream_planned_,
-            "%s: stream_replay before stream_replay_request", name().c_str());
-  ZKA_CHECK(stream_replay_next_ < stream_plan_.replay.size(),
-            "%s: more replays than requested (%zu)", name().c_str(),
-            stream_plan_.replay.size());
-  ZKA_CHECK(index == stream_plan_.replay[stream_replay_next_],
-            "%s: replay %zu out of order, expected %zu", name().c_str(), index,
-            stream_plan_.replay[stream_replay_next_]);
-  ZKA_CHECK(update.size() == stream_dim_,
-            "%s: replayed update has %zu coordinates, expected %zu",
-            name().c_str(), update.size(), stream_dim_);
-  std::copy(update.begin(), update.end(),
-            stream_replayed_.begin() +
-                static_cast<std::ptrdiff_t>(stream_replay_next_ * stream_dim_));
-  ++stream_replay_next_;
+  // Replays arrive in request order, so row k of stream_replayed_ is
+  // replay[k].
+  (void)index;
+  stream_replayed_.insert(stream_replayed_.end(), update.begin(), update.end());
 }
 
-AggregationResult MultiKrum::finish_stream() {
-  ZKA_CHECK(streaming_, "%s: finish_stream without begin_stream",
-            name().c_str());
-  ZKA_CHECK(stream_next_ == stream_n_,
-            "%s: %zu of %zu announced updates streamed", name().c_str(),
-            stream_next_, stream_n_);
+AggregationResult MultiKrum::do_finish_stream() {
   if (stream_buffered_) {
     const std::vector<UpdateView> views = as_views(stream_buffer_);
     AggregationResult result =
-        aggregate(std::span<const UpdateView>(views),
-                  std::span<const std::int64_t>(stream_weights_));
+        do_aggregate(std::span<const UpdateView>(views),
+                     std::span<const std::int64_t>(stream_weights_));
     reset_stream();
     return result;
   }
-  ZKA_CHECK(stream_planned_,
-            "%s: finish_stream before stream_replay_request", name().c_str());
-  ZKA_CHECK(stream_replay_next_ == stream_plan_.replay.size(),
-            "%s: %zu of %zu requested replays served", name().c_str(),
-            stream_replay_next_, stream_plan_.replay.size());
   const auto full_row = [&](std::size_t i) -> UpdateView {
     const auto it = std::lower_bound(stream_plan_.replay.begin(),
                                      stream_plan_.replay.end(), i);
@@ -255,23 +198,12 @@ AggregationResult MultiKrum::finish_stream() {
 }
 
 void MultiKrum::reset_stream() {
-  streaming_ = false;
-  stream_buffered_ = false;
-  stream_planned_ = false;
-  stream_dim_ = 0;
-  stream_n_ = 0;
-  stream_next_ = 0;
-  stream_replay_next_ = 0;
   stream_sketch_.reset();
   // clear() only: capacity stays with the aggregator so the next round's
   // begin_stream reuses it instead of reallocating inside the round loop.
   stream_weights_.clear();
-  stream_rows_.clear();
-  stream_sum_.clear();
-  stream_scratch_.clear();
   stream_buffer_.clear();
   stream_replayed_.clear();
-  stream_plan_ = {};
 }
 
 }  // namespace zka::defense

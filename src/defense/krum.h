@@ -57,11 +57,11 @@ class MultiKrum : public Aggregator {
     return sketch_.sketch_dim > 0 && !iterative_;
   }
   void do_begin_stream(std::size_t dim,
-                    std::span<const std::int64_t> weights) override;
-  void do_stream_update(UpdateView update) override;
-  std::span<const std::size_t> stream_replay_request() override;
+                       std::span<const std::int64_t> weights) override;
+  void do_stream_update(std::size_t slot, UpdateView update) override;
+  std::span<const std::size_t> do_stream_replay_request() override;
   void do_stream_replay(std::size_t index, UpdateView update) override;
-  AggregationResult finish_stream() override;
+  AggregationResult do_finish_stream() override;
 
  private:
   std::size_t selection_size(std::size_t n) const {
@@ -77,21 +77,16 @@ class MultiKrum : public Aggregator {
   SketchOptions sketch_;
 
   // Streaming state (empty between rounds).
-  bool streaming_ = false;
   bool stream_buffered_ = false;  ///< degenerate round: exact rule on a buffer
   std::size_t stream_dim_ = 0;
-  std::size_t stream_n_ = 0;
-  std::size_t stream_next_ = 0;
   std::vector<std::int64_t> stream_weights_;
   std::optional<tensor::JlSketch> stream_sketch_;
   std::vector<float> stream_rows_;      ///< n × k sketches
   std::vector<double> stream_sum_;      ///< index-ascending Σ of all updates
   std::vector<double> stream_scratch_;  ///< k doubles for project()
   std::vector<Update> stream_buffer_;   ///< degenerate mode only
-  bool stream_planned_ = false;
   SketchedSelectionPlan stream_plan_;
-  std::vector<float> stream_replayed_;  ///< replay.size() × dim
-  std::size_t stream_replay_next_ = 0;
+  std::vector<float> stream_replayed_;  ///< replay.size() × dim, in order
 };
 
 }  // namespace zka::defense

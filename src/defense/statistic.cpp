@@ -1,7 +1,6 @@
 #include "defense/statistic.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "defense/coordwise.h"
 #include "util/check.h"
@@ -45,31 +44,6 @@ Update trimmed_mean_of(std::span<const UpdateView> rows, std::size_t trim) {
   return out;
 }
 
-void check_stream_update(const CoordTreeStream& tree, UpdateView update,
-                         const char* rule) {
-  ZKA_CHECK(tree.active(), "%s: stream_update without begin_stream", rule);
-  ZKA_CHECK(tree.received() < tree.expected(),
-            "%s: more updates streamed than weights announced (%zu)", rule,
-            tree.expected());
-  ZKA_CHECK(update.size() == tree.dim(),
-            "%s: streamed update has %zu coordinates, expected %zu", rule,
-            update.size(), tree.dim());
-  for (const float value : update) {
-    ZKA_CHECK(std::isfinite(value), "%s: non-finite value in streamed update %zu",
-              rule, tree.received());
-  }
-}
-
-void check_begin_stream(std::size_t dim, std::span<const std::int64_t> weights,
-                        const char* rule) {
-  ZKA_CHECK(dim > 0, "%s: empty update dimension", rule);
-  ZKA_CHECK(!weights.empty(), "%s: no weights for streaming round", rule);
-  for (const std::int64_t w : weights) {
-    ZKA_CHECK(w >= 0, "%s: negative weight %lld", rule,
-              static_cast<long long>(w));
-  }
-}
-
 }  // namespace
 
 std::size_t coord_tree_wave(std::size_t memory_budget_bytes, std::size_t dim,
@@ -80,22 +54,15 @@ std::size_t coord_tree_wave(std::size_t memory_budget_bytes, std::size_t dim,
   return std::clamp<std::size_t>(fit, 2, std::max<std::size_t>(n, 2));
 }
 
-void CoordTreeStream::begin(std::size_t dim, std::size_t n, std::size_t wave) {
-  ZKA_CHECK(!active_, "CoordTreeStream: begin during an open stream");
+void CoordTreeStream::begin(std::size_t wave) {
   ZKA_CHECK(wave >= 2, "CoordTreeStream: wave %zu must be at least 2", wave);
-  active_ = true;
-  dim_ = dim;
-  n_ = n;
   wave_ = wave;
-  received_ = 0;
   levels_.assign(1, {});
-  levels_[0].reserve(std::min(wave_, n_));
+  levels_[0].reserve(wave_);
 }
 
 void CoordTreeStream::add(Update update, const Reduce& reduce) {
-  ZKA_CHECK(active_, "CoordTreeStream: add without begin");
   levels_[0].push_back(std::move(update));
-  ++received_;
   for (std::size_t level = 0; levels_[level].size() == wave_; ++level) {
     const std::vector<UpdateView> views = as_views(levels_[level]);
     Update folded = reduce(std::span<const UpdateView>(views));
@@ -106,9 +73,6 @@ void CoordTreeStream::add(Update update, const Reduce& reduce) {
 }
 
 Update CoordTreeStream::finish(const Reduce& reduce) {
-  ZKA_CHECK(active_, "CoordTreeStream: finish without begin");
-  ZKA_CHECK(received_ == n_, "CoordTreeStream: %zu of %zu announced updates",
-            received_, n_);
   Update carry;
   bool have_carry = false;
   for (std::vector<Update>& items : levels_) {
@@ -127,7 +91,6 @@ Update CoordTreeStream::finish(const Reduce& reduce) {
     have_carry = true;
   }
   ZKA_CHECK(have_carry, "CoordTreeStream: finish with no updates");
-  active_ = false;
   levels_.clear();
   return carry;
 }
@@ -142,19 +105,17 @@ AggregationResult Median::do_aggregate(std::span<const UpdateView> updates,
 }
 
 void Median::do_begin_stream(std::size_t dim,
-                          std::span<const std::int64_t> weights) {
-  ZKA_CHECK(supports_streaming(), "Median: streaming needs a memory budget");
-  check_begin_stream(dim, weights, "Median");
-  tree_.begin(dim, weights.size(), coord_tree_wave(budget_, dim, weights.size()));
+                             std::span<const std::int64_t> weights) {
+  tree_.begin(coord_tree_wave(budget_, dim, weights.size()));
 }
 
-void Median::do_stream_update(UpdateView update) {
+void Median::do_stream_update(std::size_t slot, UpdateView update) {
   ZKA_PROF_SCOPE("aggregate/median_stream");
-  check_stream_update(tree_, update, "Median");
+  (void)slot;
   tree_.add(Update(update.begin(), update.end()), median_of);
 }
 
-AggregationResult Median::finish_stream() {
+AggregationResult Median::do_finish_stream() {
   AggregationResult result;
   result.model = tree_.finish(median_of);
   return result;
@@ -175,27 +136,24 @@ AggregationResult TrimmedMean::do_aggregate(
 }
 
 void TrimmedMean::do_begin_stream(std::size_t dim,
-                               std::span<const std::int64_t> weights) {
-  ZKA_CHECK(supports_streaming(),
-            "TrimmedMean: streaming needs a memory budget");
-  check_begin_stream(dim, weights, "TrimmedMean");
+                                  std::span<const std::int64_t> weights) {
   const std::size_t n = weights.size();
   ZKA_CHECK(n > 2 * trim_,
             "TrimmedMean: need more than 2*trim updates (n=%zu, trim=%zu)", n,
             trim_);
-  tree_.begin(dim, n, coord_tree_wave(budget_, dim, n));
+  tree_.begin(coord_tree_wave(budget_, dim, n));
 }
 
-void TrimmedMean::do_stream_update(UpdateView update) {
+void TrimmedMean::do_stream_update(std::size_t slot, UpdateView update) {
   ZKA_PROF_SCOPE("aggregate/trmean_stream");
-  check_stream_update(tree_, update, "TrimmedMean");
+  (void)slot;
   tree_.add(Update(update.begin(), update.end()),
             [this](std::span<const UpdateView> rows) {
               return trimmed_mean_of(rows, trim_);
             });
 }
 
-AggregationResult TrimmedMean::finish_stream() {
+AggregationResult TrimmedMean::do_finish_stream() {
   AggregationResult result;
   result.model = tree_.finish([this](std::span<const UpdateView> rows) {
     return trimmed_mean_of(rows, trim_);

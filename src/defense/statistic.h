@@ -30,22 +30,12 @@ class CoordTreeStream {
  public:
   using Reduce = std::function<Update(std::span<const UpdateView>)>;
 
-  void begin(std::size_t dim, std::size_t n, std::size_t wave);
+  void begin(std::size_t wave);
   void add(Update update, const Reduce& reduce);
   Update finish(const Reduce& reduce);
 
-  bool active() const noexcept { return active_; }
-  std::size_t expected() const noexcept { return n_; }
-  std::size_t received() const noexcept { return received_; }
-  std::size_t dim() const noexcept { return dim_; }
-  std::size_t wave() const noexcept { return wave_; }
-
  private:
-  bool active_ = false;
-  std::size_t dim_ = 0;
-  std::size_t n_ = 0;
   std::size_t wave_ = 0;
-  std::size_t received_ = 0;
   std::vector<std::vector<Update>> levels_;
 };
 
@@ -70,9 +60,9 @@ class Median : public Aggregator {
   bool supports_streaming() const noexcept override { return budget_ > 0; }
   bool streaming_exact() const noexcept override { return false; }
   void do_begin_stream(std::size_t dim,
-                    std::span<const std::int64_t> weights) override;
-  void do_stream_update(UpdateView update) override;
-  AggregationResult finish_stream() override;
+                       std::span<const std::int64_t> weights) override;
+  void do_stream_update(std::size_t slot, UpdateView update) override;
+  AggregationResult do_finish_stream() override;
 
  private:
   std::size_t budget_;
@@ -100,9 +90,9 @@ class TrimmedMean : public Aggregator {
   bool supports_streaming() const noexcept override { return budget_ > 0; }
   bool streaming_exact() const noexcept override { return false; }
   void do_begin_stream(std::size_t dim,
-                    std::span<const std::int64_t> weights) override;
-  void do_stream_update(UpdateView update) override;
-  AggregationResult finish_stream() override;
+                       std::span<const std::int64_t> weights) override;
+  void do_stream_update(std::size_t slot, UpdateView update) override;
+  AggregationResult do_finish_stream() override;
 
  private:
   std::size_t trim_;

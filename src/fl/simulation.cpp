@@ -1,6 +1,7 @@
 #include "fl/simulation.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "data/partition.h"
 #include "data/synthetic.h"
@@ -14,7 +15,7 @@ namespace zka::fl {
 namespace {
 
 /// Median of a sample-count list (lower middle for even sizes); 1 when the
-/// list is empty. Sorts `counts` in place — callers pass a scratch copy —
+/// list is empty. Sorts `counts` in place — callers pass a scratch list —
 /// so the round loop can reuse one buffer instead of allocating a by-value
 /// copy every round. Used as the default attacker-reported FedAvg weight.
 std::int64_t median_weight(std::vector<std::int64_t>& counts) {
@@ -153,26 +154,20 @@ SimulationResult Simulation::run(attack::Attack* attack) {
   // boundaries, tracked against ROADMAP item 3's round arena.
   const std::size_t round_k =
       static_cast<std::size_t>(config_.clients_per_round);
-  std::vector<std::size_t> benign_ids;
-  std::vector<std::size_t> malicious_ids;
-  std::vector<std::int64_t> benign_weights;
-  std::vector<std::int64_t> median_scratch;
+  std::vector<std::size_t> all_slots(round_k);  // pass 0 feeds every slot
+  std::iota(all_slots.begin(), all_slots.end(), std::size_t{0});
+  std::vector<bool> is_malicious;  // sampling-order flags (selection DPR)
   std::vector<std::int64_t> weights;
+  std::vector<std::int64_t> median_scratch;
   std::vector<std::size_t> wave_benign;
   std::vector<defense::Update> wave_updates;
-  std::vector<defense::Update> benign_updates;
   std::vector<defense::UpdateView> updates;
-  std::vector<bool> is_malicious;  // sampling-order flags (selection DPR)
-  benign_ids.reserve(round_k);
-  malicious_ids.reserve(round_k);
-  benign_weights.reserve(round_k);
-  median_scratch.reserve(round_k);
+  is_malicious.reserve(round_k);
   weights.reserve(round_k);
+  median_scratch.reserve(round_k);
   wave_benign.reserve(round_k);
   wave_updates.reserve(round_k);
-  benign_updates.reserve(round_k);
   updates.reserve(round_k);
-  is_malicious.reserve(round_k);
 
   for (std::int64_t round = 0; round < config_.rounds; ++round) {
     ZKA_PROF_SCOPE("round");
@@ -184,32 +179,27 @@ SimulationResult Simulation::run(attack::Attack* attack) {
         static_cast<std::size_t>(population),
         static_cast<std::size_t>(config_.clients_per_round));
 
-    benign_ids.clear();
-    malicious_ids.clear();
-    for (const std::size_t c : sampled) {
-      if (is_malicious_id(c)) {
-        malicious_ids.push_back(c);
-      } else {
-        benign_ids.push_back(c);
-      }
-    }
-    const bool have_malicious = !malicious_ids.empty();
-
     // Per-client FedAvg weights are client-reported sample counts: benign
     // clients report their true shard size (registry lookup, no
     // materialization); malicious clients report whatever the attack
-    // chooses (Attack::reported_weight, defaulting to the benign median)
-    // — never a fabricated max(shard, 1).
-    benign_weights.clear();
-    for (const std::size_t c : benign_ids) {
-      benign_weights.push_back(
-          registry_->num_samples(static_cast<std::int64_t>(c)));
+    // chooses (Attack::reported_weight, defaulting to the benign median),
+    // filled in by craft() — never a fabricated max(shard, 1).
+    is_malicious.clear();
+    weights.clear();
+    median_scratch.clear();
+    for (const std::size_t c : sampled) {
+      const bool mal = is_malicious_id(c);
+      is_malicious.push_back(mal);
+      weights.push_back(
+          mal ? 0 : registry_->num_samples(static_cast<std::int64_t>(c)));
+      if (!mal) median_scratch.push_back(weights.back());
     }
-    median_scratch.assign(benign_weights.begin(), benign_weights.end());
+    const std::size_t num_benign = median_scratch.size();
+    const std::size_t num_malicious = sampled.size() - num_benign;
+    const bool have_malicious = num_malicious > 0;
     const std::int64_t benign_median = median_weight(median_scratch);
 
     defense::Update malicious_update;
-    std::int64_t malicious_weight = 0;
     const auto craft =
         [&](const std::vector<defense::Update>* round_benign) {
           ZKA_PROF_SCOPE("attack_craft");
@@ -221,7 +211,7 @@ SimulationResult Simulation::run(attack::Attack* attack) {
           ctx.round = round;
           ctx.num_selected = config_.clients_per_round;
           ctx.num_malicious_selected =
-              static_cast<std::int64_t>(malicious_ids.size());
+              static_cast<std::int64_t>(num_malicious);
           ctx.learning_rate = config_.client.learning_rate;
           ctx.benign_median_weight = benign_median;
           malicious_update = attack->craft(ctx);
@@ -229,145 +219,38 @@ SimulationResult Simulation::run(attack::Attack* attack) {
                     "%s crafted %zu params, model has %zu",
                     attack->name().c_str(), malicious_update.size(),
                     global.size());
-          malicious_weight = attack->reported_weight(ctx);
+          const std::int64_t malicious_weight = attack->reported_weight(ctx);
           ZKA_CHECK(malicious_weight >= 0,
                     "%s reported negative weight %lld",
                     attack->name().c_str(),
                     static_cast<long long>(malicious_weight));
+          for (std::size_t i = 0; i < weights.size(); ++i) {
+            if (is_malicious[i]) weights[i] = malicious_weight;
+          }
         };
 
     // Streaming ingestion: with a fold-capable defense (and an attack that
     // does not demand the full benign update matrix) the round proceeds in
     // waves sized by the memory budget — train a wave, fold it, free it —
-    // so the server never holds more than one wave of updates.
-    const bool streaming =
-        config_.memory_budget_bytes > 0 && aggregator_->supports_streaming() &&
-        (attack == nullptr || !attack->needs_benign_updates());
-
-    defense::AggregationResult agg;
-    is_malicious.clear();
-    std::size_t round_peak_bytes = 0;
-
+    // so the server never holds more than one wave of updates. Otherwise
+    // the round is one buffered wave of all clients_per_round updates.
+    const bool omniscient =
+        attack != nullptr && attack->needs_benign_updates();
+    const bool streaming = config_.memory_budget_bytes > 0 &&
+                           aggregator_->supports_streaming() && !omniscient;
+    std::size_t wave = sampled.size();
     if (streaming) {
-      // Data-free crafting: the attack sees the global models but no
-      // benign updates (none exist yet — waves train after crafting).
-      if (have_malicious) craft(nullptr);
-
-      weights.clear();
-      std::size_t benign_cursor = 0;
-      for (const std::size_t c : sampled) {
-        const bool mal = is_malicious_id(c);
-        is_malicious.push_back(mal);
-        weights.push_back(mal ? malicious_weight
-                              : benign_weights[benign_cursor++]);
-      }
-      aggregator_->begin_stream(global.size(), weights);
-
       // The crafted buffer stays live across every wave, so it counts
       // against the budget alongside the wave's training slots. Peak live
       // bytes are therefore <= max(budget, 2 * update_bytes) — the floor
       // being one training slot plus the crafted update.
       const std::size_t capacity =
           config_.memory_budget_bytes / update_bytes;
-      const std::size_t wave = std::clamp<std::size_t>(
+      wave = std::clamp<std::size_t>(
           have_malicious && capacity > 1 ? capacity - 1 : capacity,
           std::size_t{1}, sampled.size());
-      for (std::size_t start = 0; start < sampled.size(); start += wave) {
-        const std::size_t end = std::min(start + wave, sampled.size());
-        wave_benign.clear();
-        for (std::size_t i = start; i < end; ++i) {
-          if (!is_malicious_id(sampled[i])) wave_benign.push_back(sampled[i]);
-        }
-        // Slots beyond the previous wave's size are fresh; retained slots
-        // are overwritten by train_client_ before the fold reads them.
-        wave_updates.resize(wave_benign.size());
-        {
-          ZKA_PROF_SCOPE("client_train");
-          const auto train_one = [&](std::size_t k) {
-            train_client_(wave_benign[k], round, global, wave_updates[k]);
-          };
-          if (config_.parallel_clients) {
-            util::global_thread_pool().parallel_for(wave_benign.size(),
-                                                    train_one);
-          } else {
-            for (std::size_t k = 0; k < wave_benign.size(); ++k) {
-              train_one(k);
-            }
-          }
-        }
-        round_peak_bytes = std::max(
-            round_peak_bytes,
-            (wave_updates.size() + (have_malicious ? 1 : 0)) * update_bytes);
-        {
-          ZKA_PROF_SCOPE("aggregate");
-          std::size_t wave_cursor = 0;
-          for (std::size_t i = start; i < end; ++i) {
-            aggregator_->stream_update(is_malicious_id(sampled[i])
-                                           ? defense::UpdateView(
-                                                 malicious_update)
-                                           : defense::UpdateView(
-                                                 wave_updates[wave_cursor++]));
-          }
-          ZKA_DCHECK(wave_cursor == wave_updates.size(),
-                     "round %lld: wave folded %zu of %zu benign updates",
-                     static_cast<long long>(round), wave_cursor,
-                     wave_updates.size());
-        }
-      }
-      // Replay pass: a sketched defense asks for a bounded index set back
-      // at full dimension (the exact re-check of its selection boundary).
-      // Training is a pure function of (global model, seed) — the global
-      // has not advanced yet — so re-training a benign client reproduces
-      // its first-pass update bit-for-bit, and sybils re-submit the one
-      // crafted buffer. Replays train in waves under the same budget.
-      const auto replay = aggregator_->stream_replay_request();
-      for (std::size_t start = 0; start < replay.size();) {
-        wave_benign.clear();
-        std::size_t end = start;
-        while (end < replay.size() && wave_benign.size() < wave) {
-          const std::size_t c = sampled[replay[end]];
-          if (!is_malicious_id(c)) wave_benign.push_back(c);
-          ++end;
-        }
-        wave_updates.resize(wave_benign.size());
-        {
-          ZKA_PROF_SCOPE("client_train");
-          const auto train_one = [&](std::size_t k) {
-            train_client_(wave_benign[k], round, global, wave_updates[k]);
-          };
-          if (config_.parallel_clients) {
-            util::global_thread_pool().parallel_for(wave_benign.size(),
-                                                    train_one);
-          } else {
-            for (std::size_t k = 0; k < wave_benign.size(); ++k) {
-              train_one(k);
-            }
-          }
-        }
-        round_peak_bytes = std::max(
-            round_peak_bytes,
-            (wave_updates.size() + (have_malicious ? 1 : 0)) * update_bytes);
-        {
-          ZKA_PROF_SCOPE("aggregate");
-          std::size_t wave_cursor = 0;
-          for (std::size_t i = start; i < end; ++i) {
-            const std::size_t idx = replay[i];
-            aggregator_->stream_replay(
-                idx, is_malicious_id(sampled[idx])
-                         ? defense::UpdateView(malicious_update)
-                         : defense::UpdateView(wave_updates[wave_cursor++]));
-          }
-        }
-        start = end;
-      }
-      {
-        ZKA_PROF_SCOPE("aggregate");
-        agg = aggregator_->finish_stream();
-      }
     } else {
-      // Buffered path: the defense (or an omniscient attack) needs the
-      // round's full update matrix, so the floor is clients_per_round live
-      // buffers; a budget below that is a configuration error, not
+      // A budget below the buffered floor is a configuration error, not
       // something to paper over silently.
       ZKA_CHECK(
           config_.memory_budget_bytes == 0 ||
@@ -377,55 +260,85 @@ SimulationResult Simulation::run(attack::Attack* attack) {
           "a streaming defense",
           aggregator_->name().c_str(), sampled.size() * update_bytes,
           config_.memory_budget_bytes);
+    }
 
-      // Benign local training (parallel across clients, deterministic
-      // seeds). Every slot in [0, benign_ids.size()) is overwritten.
-      benign_updates.resize(benign_ids.size());
-      {
-        ZKA_PROF_SCOPE("client_train");
-        const auto train_one = [&](std::size_t k) {
-          train_client_(benign_ids[k], round, global, benign_updates[k]);
-        };
-        if (config_.parallel_clients) {
-          util::global_thread_pool().parallel_for(benign_ids.size(),
-                                                  train_one);
-        } else {
-          for (std::size_t k = 0; k < benign_ids.size(); ++k) train_one(k);
+    // Data-free crafting sees the global models but no benign updates, so
+    // it runs before any training; both are pure functions of their seeds,
+    // so the order changes no bits. An omniscient attack crafts inside the
+    // wave loop, once its single buffered wave has trained.
+    if (have_malicious && !omniscient) craft(nullptr);
+    if (streaming) aggregator_->begin_stream(global.size(), weights);
+
+    // One wave loop for every mode: a wave trains its benign clients, then
+    // submits its slots in order. Pass 0 submits every slot, in waves of
+    // `wave` slots. Pass 1 (streaming only) replays the slots a sketched
+    // defense asks back at full dimension for the exact re-check of its
+    // selection boundary, in waves of `wave` benign clients. Training is a
+    // pure function of (global model, seed) — the global has not advanced
+    // yet — so re-training a benign client reproduces its pass-0 update
+    // bit-for-bit, and sybils re-submit the one crafted buffer.
+    std::size_t round_peak_bytes = 0;
+    for (int pass = 0; pass < (streaming ? 2 : 1); ++pass) {
+      const std::span<const std::size_t> slots =
+          pass == 0 ? std::span<const std::size_t>(all_slots)
+                    : aggregator_->stream_replay_request();
+      for (std::size_t start = 0; start < slots.size();) {
+        wave_benign.clear();
+        std::size_t end = start;
+        while (end < slots.size() &&
+               (pass == 0 ? end - start : wave_benign.size()) < wave) {
+          if (!is_malicious[slots[end]]) {
+            wave_benign.push_back(sampled[slots[end]]);
+          }
+          ++end;
         }
-      }
-
-      // Craft the malicious update once; all malicious clients submit it.
-      if (have_malicious) craft(&benign_updates);
-
-      // Assemble the round's submissions in sampling order as views: every
-      // malicious client shares the one crafted buffer instead of deep
-      // copies, and benign updates stay in their training slots.
-      updates.clear();
-      weights.clear();
-      std::size_t benign_cursor = 0;
-      for (const std::size_t c : sampled) {
-        const bool mal = is_malicious_id(c);
-        is_malicious.push_back(mal);
-        if (mal) {
-          updates.emplace_back(malicious_update);
-          weights.push_back(malicious_weight);
-        } else {
-          updates.emplace_back(benign_updates[benign_cursor]);
-          weights.push_back(benign_weights[benign_cursor]);
-          ++benign_cursor;
+        // Slots beyond the previous wave's size are fresh; retained slots
+        // are overwritten by train_client_ before they are read.
+        wave_updates.resize(wave_benign.size());
+        {
+          ZKA_PROF_SCOPE("client_train");
+          util::global_thread_pool().parallel_for(
+              wave_benign.size(), [&](std::size_t k) {
+                train_client_(wave_benign[k], round, global, wave_updates[k]);
+              });
         }
-      }
-      ZKA_DCHECK(benign_cursor == benign_updates.size(),
-                 "round %lld: %zu benign updates assembled, %zu trained",
-                 static_cast<long long>(round), benign_cursor,
-                 benign_updates.size());
-      round_peak_bytes =
-          (benign_updates.size() + (have_malicious ? 1 : 0)) * update_bytes;
+        round_peak_bytes = std::max(
+            round_peak_bytes,
+            (wave_updates.size() + (have_malicious ? 1 : 0)) * update_bytes);
+        if (have_malicious && omniscient) craft(&wave_updates);
 
-      {
-        ZKA_PROF_SCOPE("aggregate");
-        agg = aggregator_->aggregate(updates, weights);
+        // The wave's submissions in slot order, as views: every malicious
+        // client shares the one crafted buffer instead of deep copies, and
+        // benign updates stay in their training slots.
+        updates.clear();
+        std::size_t cursor = 0;
+        for (std::size_t i = start; i < end; ++i) {
+          updates.emplace_back(
+              is_malicious[slots[i]]
+                  ? defense::UpdateView(malicious_update)
+                  : defense::UpdateView(wave_updates[cursor++]));
+        }
+        ZKA_DCHECK(cursor == wave_updates.size(),
+                   "round %lld: wave submitted %zu of %zu benign updates",
+                   static_cast<long long>(round), cursor, wave_updates.size());
+        if (streaming) {
+          ZKA_PROF_SCOPE("aggregate");
+          for (std::size_t k = 0; k < updates.size(); ++k) {
+            if (pass == 0) {
+              aggregator_->stream_update(updates[k]);
+            } else {
+              aggregator_->stream_replay(slots[start + k], updates[k]);
+            }
+          }
+        }
+        start = end;
       }
+    }
+    defense::AggregationResult agg;
+    {
+      ZKA_PROF_SCOPE("aggregate");
+      agg = streaming ? aggregator_->finish_stream()
+                      : aggregator_->aggregate(updates, weights);
     }
     result.peak_update_bytes =
         std::max(result.peak_update_bytes, round_peak_bytes);
@@ -434,9 +347,8 @@ SimulationResult Simulation::run(attack::Attack* attack) {
 
     RoundRecord record;
     record.round = round;
-    record.malicious_selected =
-        static_cast<std::int64_t>(malicious_ids.size());
-    record.benign_selected = static_cast<std::int64_t>(benign_ids.size());
+    record.malicious_selected = static_cast<std::int64_t>(num_malicious);
+    record.benign_selected = static_cast<std::int64_t>(num_benign);
     if (aggregator_->selects_clients()) {
       for (const std::size_t idx : agg.selected) {
         if (is_malicious.at(idx)) ++record.malicious_passed;

@@ -75,8 +75,6 @@ struct SimulationConfig {
   /// needs a root dataset, or a user-defined rule).
   std::function<std::unique_ptr<defense::Aggregator>()> custom_defense;
   std::uint64_t seed = 1;
-  /// Train the sampled benign clients of a round on the thread pool.
-  bool parallel_clients = true;
   /// Evaluate test accuracy every k rounds (1 = every round).
   std::int64_t eval_every = 1;
 

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "defense/aggregator.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace zka::defense {
@@ -113,8 +116,31 @@ TEST_P(DefenseProperty, SanitizeOffIsPaperFaithful) {
   updates[3][7] = std::numeric_limits<float>::quiet_NaN();
   const auto result = agg->aggregate(updates, std::vector<std::int64_t>(6, 1));
   EXPECT_EQ(agg->ingress().zeroed_values(), 0u) << agg->name();
-  if (std::string(GetParam().name) == "fedavg") {
+  const std::string name = GetParam().name;
+  if (name == "fedavg") {
     EXPECT_TRUE(std::isnan(result.model[7]));
+  }
+  // The streaming entry points must not throw where aggregate() does not.
+  // mkrum streams with a sketch (a round this small buffers and runs the
+  // exact rule); median and trmean fold through a tree whose budget fits
+  // the whole round in one wave, which is the batch rule bit for bit.
+  if (name != "mkrum" && name != "median" && name != "trmean") return;
+  AggregatorOptions options;
+  options.num_byzantine = GetParam().f;
+  options.sketch_dim = 4;
+  options.memory_budget_bytes = std::size_t{1} << 20;
+  options.sanitize = false;
+  auto streaming = make_aggregator(name, options);
+  ASSERT_TRUE(streaming->supports_streaming()) << name;
+  streaming->begin_stream(updates.front().size(),
+                          std::vector<std::int64_t>(6, 1));
+  for (const auto& u : updates) streaming->stream_update(u);
+  const auto streamed = streaming->finish_stream();
+  EXPECT_EQ(streaming->ingress().zeroed_values(), 0u) << name;
+  ASSERT_EQ(streamed.model.size(), result.model.size()) << name;
+  if (name == "median") {
+    EXPECT_EQ(0, std::memcmp(streamed.model.data(), result.model.data(),
+                             result.model.size() * sizeof(float)));
   }
 }
 
@@ -136,6 +162,98 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<Case>& info) {
       return std::string(info.param.name);
     });
+
+// Every misuse of the streaming protocol is rejected by the Aggregator base
+// class, before any rule hook runs, for each rule that streams.
+class StreamProtocolMisuse : public ::testing::TestWithParam<const char*> {
+ protected:
+  static constexpr std::size_t kN = 12;
+  static constexpr std::size_t kDim = 64;
+
+  std::unique_ptr<Aggregator> make() const {
+    AggregatorOptions options;
+    options.num_byzantine = 2;
+    options.sketch_dim = 8;  // n >= 8, dim > 2k: mkrum really sketches
+    options.memory_budget_bytes = 4 * kDim * sizeof(float);  // 4-ary tree
+    return make_aggregator(GetParam(), options);
+  }
+  const std::vector<std::int64_t> weights_ =
+      std::vector<std::int64_t>(kN, 1);
+  const std::vector<Update> updates_ = random_updates(kN, kDim, 31);
+};
+
+TEST_P(StreamProtocolMisuse, BeginWhileOpen) {
+  auto agg = make();
+  agg->begin_stream(kDim, weights_);
+  EXPECT_THROW(agg->begin_stream(kDim, weights_), util::ContractViolation);
+}
+
+TEST_P(StreamProtocolMisuse, UpdateWithoutStream) {
+  auto agg = make();
+  EXPECT_THROW(agg->stream_update(updates_[0]), util::ContractViolation);
+}
+
+TEST_P(StreamProtocolMisuse, ExtraRow) {
+  auto agg = make();
+  agg->begin_stream(kDim, weights_);
+  for (const auto& u : updates_) agg->stream_update(u);
+  EXPECT_THROW(agg->stream_update(updates_[0]), util::ContractViolation);
+}
+
+TEST_P(StreamProtocolMisuse, WrongDimension) {
+  auto agg = make();
+  agg->begin_stream(kDim, weights_);
+  const Update wide(kDim + 1, 0.5f);
+  EXPECT_THROW(agg->stream_update(wide), util::ContractViolation);
+}
+
+TEST_P(StreamProtocolMisuse, EarlyFinish) {
+  auto agg = make();
+  agg->begin_stream(kDim, weights_);
+  for (std::size_t i = 0; i + 1 < kN; ++i) agg->stream_update(updates_[i]);
+  EXPECT_THROW(agg->finish_stream(), util::ContractViolation);
+}
+
+TEST_P(StreamProtocolMisuse, UnservedOrUnrequestedReplays) {
+  auto agg = make();
+  agg->begin_stream(kDim, weights_);
+  for (const auto& u : updates_) agg->stream_update(u);
+  const auto request = agg->stream_replay_request();
+  if (std::string(GetParam()) == "mkrum") {
+    ASSERT_FALSE(request.empty());
+  }
+  if (request.empty()) {
+    // Rules that never replay reject any replay at all.
+    EXPECT_THROW(agg->stream_replay(0, updates_[0]), util::ContractViolation);
+    return;
+  }
+  EXPECT_THROW(agg->finish_stream(), util::ContractViolation);
+  if (request.size() > 1) {
+    EXPECT_THROW(agg->stream_replay(request[1], updates_[request[1]]),
+                 util::ContractViolation);
+  }
+  // The rejected calls left the stream intact: serving the replays in
+  // order still finishes the round.
+  for (const std::size_t i : request) agg->stream_replay(i, updates_[i]);
+  EXPECT_EQ(agg->finish_stream().model.size(), kDim);
+}
+
+INSTANTIATE_TEST_SUITE_P(StreamingRules, StreamProtocolMisuse,
+                         ::testing::Values("fedavg", "mkrum", "median",
+                                           "trmean"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
+
+TEST(StreamProtocol, BatchOnlyRuleRejectsBeginStream) {
+  AggregatorOptions options;
+  options.num_byzantine = 2;
+  options.sketch_dim = 8;
+  auto bulyan = make_aggregator("bulyan", options);
+  ASSERT_FALSE(bulyan->supports_streaming());
+  EXPECT_THROW(bulyan->begin_stream(4, std::vector<std::int64_t>(9, 1)),
+               util::ContractViolation);
+}
 
 }  // namespace
 }  // namespace zka::defense

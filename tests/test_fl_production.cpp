@@ -17,6 +17,7 @@
 #include "fl/registry.h"
 #include "fl/simulation.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace zka::fl {
 namespace {
@@ -108,12 +109,14 @@ TEST(ProductionSimulation, RunsAndLearnsAtSmallScale) {
 }
 
 TEST(ProductionSimulation, ParallelAndSerialBitwiseEqual) {
-  SimulationConfig config = production_config();
-  config.parallel_clients = true;
+  // Inside a pool worker parallel_for runs inline, so the submitted run
+  // trains every client serially on one thread.
+  const SimulationConfig config = production_config();
   Simulation par(config);
-  config.parallel_clients = false;
   Simulation ser(config);
-  expect_same_result(par.run(nullptr), ser.run(nullptr));
+  SimulationResult serial;
+  util::global_thread_pool().submit([&] { serial = ser.run(nullptr); }).get();
+  expect_same_result(par.run(nullptr), serial);
 }
 
 TEST(ProductionSimulation, LazyAndEagerRegistryBitwiseEqual) {

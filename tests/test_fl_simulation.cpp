@@ -13,6 +13,7 @@
 #include "defense/fedavg.h"
 #include "defense/fltrust.h"
 #include "fl/metrics.h"
+#include "util/thread_pool.h"
 
 namespace zka::fl {
 namespace {
@@ -63,13 +64,16 @@ TEST(Simulation, DifferentSeedsDiffer) {
 }
 
 TEST(Simulation, SerialAndParallelClientsAgree) {
-  SimulationConfig config = tiny_config();
-  config.parallel_clients = true;
+  // Inside a pool worker parallel_for runs inline, so the submitted run
+  // trains every client serially on one thread.
+  const SimulationConfig config = tiny_config();
   Simulation par(config);
-  config.parallel_clients = false;
   Simulation ser(config);
-  EXPECT_DOUBLE_EQ(par.run(nullptr).final_accuracy,
-                   ser.run(nullptr).final_accuracy);
+  SimulationResult serial;
+  util::global_thread_pool().submit([&] { serial = ser.run(nullptr); }).get();
+  const SimulationResult parallel = par.run(nullptr);
+  EXPECT_DOUBLE_EQ(parallel.final_accuracy, serial.final_accuracy);
+  EXPECT_EQ(parallel.final_model, serial.final_model);
 }
 
 TEST(Simulation, SelectionBookkeepingConsistent) {

@@ -154,7 +154,9 @@ ENTRY_NAMES = frozenset(
         "do_aggregate",
         "do_begin_stream",
         "do_stream_update",
+        "do_stream_replay_request",
         "do_stream_replay",
+        "do_finish_stream",
     }
 )
 ENTRY_BASES = frozenset({"Aggregator", "Attack"})

@@ -1,8 +1,8 @@
 // zka-fixture-path: src/fixture/a9_stream_protocol.cpp
 // A9 positive + negative: stream calls with no dominating begin_stream
 // (directly and through a callee -- reported at the unguarded entry
-// point), and a finish_stream implementation folding through
-// hash-ordered state.
+// point), and a do_finish_stream hook (the implementation behind the
+// non-virtual finish_stream) folding through hash-ordered state.
 #include "fixture_support.h"
 
 using zka::defense::AggregationResult;
@@ -50,7 +50,7 @@ class BadFold : public Aggregator {
     zka::defense::validate_updates(updates, weights);
     return {};
   }
-  AggregationResult finish_stream() override {
+  AggregationResult do_finish_stream() override {
     AggregationResult r;
     r.model.push_back(fold_buckets(buckets_));
     return r;

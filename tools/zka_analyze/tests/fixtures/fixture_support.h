@@ -66,7 +66,10 @@ class Aggregator {
   virtual void begin_stream(std::size_t dim,
                             std::span<const std::int64_t> weights);
   virtual void stream_update(UpdateView update);
-  virtual AggregationResult finish_stream();
+  AggregationResult finish_stream();
+
+ protected:
+  virtual AggregationResult do_finish_stream();
 };
 
 void validate_updates(std::span<const UpdateView> updates,

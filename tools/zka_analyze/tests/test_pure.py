@@ -436,6 +436,18 @@ def test_a9_finish_stream_unordered_fold():
     assert "hash-ordered" in found[0].message
 
 
+def test_a9_do_finish_stream_hook_unordered_fold():
+    # The rule's fold lives in the protected hook behind the non-virtual
+    # finish_stream wrapper; A9 must still see through it.
+    hook = mk_summary(
+        "Mean::do_finish_stream", entry="do_finish_stream", calls=[mk_call("fold")]
+    )
+    fold = mk_summary("fold", unordered_iters=[{"line": 7}])
+    found = findings_for(index_of(hook, fold), only=["A9"])
+    assert [(f.rule, f.line) for f in found] == [("A9", 7)], found
+    assert "hash-ordered" in found[0].message
+
+
 def test_a10_entry_reach_only():
     agg = mk_summary("Mean::aggregate", entry="aggregate", calls=[mk_call("fold")])
     fold = mk_summary("fold", unordered_iters=[{"line": 7}])

@@ -354,10 +354,11 @@ def _check_a9(index, findings):
             )
         )
 
-    # Order-dependence: a finish_stream implementation folding through
-    # hash-ordered iteration cannot be bitwise-equal to the batch path.
+    # Order-dependence: a finish_stream implementation (the wrapper or the
+    # do_finish_stream hook behind it) folding through hash-ordered
+    # iteration cannot be bitwise-equal to the batch path.
     for usr, s in index.by_usr.items():
-        if s["entry"] != "finish_stream":
+        if s["entry"] not in ("finish_stream", "do_finish_stream"):
             continue
         for reached, chain in _walk(index, s["facts"], s["name"], boundaries=False):
             for it in reached["facts"].get("unordered_iters", ()):
