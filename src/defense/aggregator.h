@@ -50,7 +50,8 @@ class Aggregator {
 
   /// Aggregates the round's updates; weights[i] is the sample count of
   /// client i (used by weighted FedAvg; robust rules may ignore it).
-  /// Requires at least one update; all updates must have equal size.
+  /// Requires at least one update, all of equal size, and exactly one
+  /// non-negative weight per update.
   AggregationResult aggregate(std::span<const UpdateView> updates,
                               std::span<const std::int64_t> weights);
 
@@ -196,15 +197,14 @@ class Aggregator {
 std::vector<UpdateView> as_views(const std::vector<Update>& updates);
 
 /// Throws std::invalid_argument unless updates is non-empty and rectangular
-/// and weights (when non-empty) match in count and are non-negative.
+/// and weights hold exactly one non-negative entry per update.
 /// Value-level hygiene (finiteness) is the ingress layer's job
 /// (defense/sanitize.h), not a shape contract — switching sanitization off
 /// must reproduce the undefended server, not crash it.
 void validate_updates(std::span<const UpdateView> updates,
                       std::span<const std::int64_t> weights);
 
-/// Knobs shared by the named constructor below; defaults reproduce the
-/// legacy make_aggregator(name, f) behaviour exactly.
+/// Knobs of the named constructor below.
 struct AggregatorOptions {
   /// The defense's assumed attacker bound f.
   std::size_t num_byzantine = 2;
@@ -212,29 +212,16 @@ struct AggregatorOptions {
   /// bulyan): rank on O(k) sketches, re-check the selection boundary
   /// exactly at full dimension (defense/sketch.h). 0 = exact path.
   std::size_t sketch_dim = 0;
-  /// Seed of the sketch sign pattern.
-  std::uint64_t sketch_seed = 0x5ce7c41ULL;
-  /// Per-side width of the exact re-check band around the selection cut.
-  std::size_t recheck_band = 16;
   /// Server memory budget forwarded to budget-aware streaming rules
   /// (median/trmean size their tree-aggregation wave from it). 0 = keep
   /// the batch path.
   std::size_t memory_budget_bytes = 0;
-  /// Ingress sanitization (defense/sanitize.h): zero non-finite update
-  /// coordinates and clamp outlier reported weights before any rule sees
-  /// them. Off = bitwise pass-through (the paper-faithful hostile server).
-  bool sanitize = true;
-  /// Reported-weight cap as a multiple of the round's median weight.
-  double sanitize_weight_cap_ratio = 8.0;
 };
 
-/// Named construction for benches/CLIs: fedavg, median, trmean, mkrum,
-/// bulyan, foolsgold, normclip. `num_byzantine` is the defense's assumed
-/// attacker bound f.
-std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
-                                            std::size_t num_byzantine);
-
-/// Full-options overload; the legacy signature forwards here.
+/// Named construction for benches/CLIs: fedavg, median, trmean, krum,
+/// mkrum, bulyan, foolsgold, normclip, geomedian, centeredclip, dnc. Every
+/// rule starts with the default ingress sanitization (defense/sanitize.h);
+/// set_sanitize({.enabled = false}) turns it off.
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
                                             const AggregatorOptions& options);
 

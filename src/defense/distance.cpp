@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -150,6 +151,31 @@ double krum_score(const PairwiseMatrix& sq_dist, std::size_t i,
   double score = 0.0;
   for (std::size_t j = 0; j < k; ++j) score += dists[j];
   return score;
+}
+
+std::vector<std::size_t> successive_krum_picks(const PairwiseMatrix& sq_dist,
+                                               std::size_t picks,
+                                               std::size_t num_neighbors,
+                                               std::vector<bool>& excluded) {
+  const std::size_t n = sq_dist.size();
+  std::vector<std::size_t> picked;
+  picked.reserve(std::min(picks, n));
+  for (std::size_t round = 0; round < picks; ++round) {
+    double best_score = std::numeric_limits<double>::infinity();
+    std::size_t best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (excluded[i]) continue;
+      const double score = krum_score(sq_dist, i, num_neighbors, excluded);
+      if (score < best_score) {
+        best_score = score;
+        best = i;
+      }
+    }
+    if (best == n) break;
+    excluded[best] = true;
+    picked.push_back(best);
+  }
+  return picked;
 }
 
 }  // namespace zka::defense

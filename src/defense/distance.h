@@ -67,4 +67,13 @@ double krum_score(const PairwiseMatrix& sq_dist, std::size_t i,
                   std::size_t num_neighbors,
                   const std::vector<bool>& excluded);
 
+/// Successive-exclusion Multi-Krum: up to `picks` times, takes the
+/// non-excluded update with the lowest krum_score (strict <, so the lowest
+/// index wins ties), marks it in `excluded` and appends it to the result.
+/// Stops early once every update is excluded. Returns the picks in order.
+std::vector<std::size_t> successive_krum_picks(const PairwiseMatrix& sq_dist,
+                                               std::size_t picks,
+                                               std::size_t num_neighbors,
+                                               std::vector<bool>& excluded);
+
 }  // namespace zka::defense

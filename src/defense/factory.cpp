@@ -14,28 +14,9 @@
 namespace zka::defense {
 
 std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
-                                            std::size_t num_byzantine) {
-  AggregatorOptions options;
-  options.num_byzantine = num_byzantine;
-  return make_aggregator(name, options);
-}
-
-namespace {
-
-std::unique_ptr<Aggregator> with_sanitize(std::unique_ptr<Aggregator> agg,
-                                          const AggregatorOptions& options) {
-  sanitize::Options ingress;
-  ingress.enabled = options.sanitize;
-  ingress.weight_cap_ratio = options.sanitize_weight_cap_ratio;
-  agg->set_sanitize(ingress);
-  return agg;
-}
-
-std::unique_ptr<Aggregator> make_rule(const std::string& name,
-                                      const AggregatorOptions& options) {
+                                            const AggregatorOptions& options) {
   const std::size_t f = options.num_byzantine;
-  const SketchOptions sketch{options.sketch_dim, options.sketch_seed,
-                             options.recheck_band};
+  const SketchOptions sketch{.sketch_dim = options.sketch_dim};
   if (name == "fedavg") return std::make_unique<FedAvg>();
   if (name == "median") {
     return std::make_unique<Median>(options.memory_budget_bytes);
@@ -65,13 +46,6 @@ std::unique_ptr<Aggregator> make_rule(const std::string& name,
         "and pass it via SimulationConfig::custom_defense");
   }
   throw std::invalid_argument("unknown aggregator: " + name);
-}
-
-}  // namespace
-
-std::unique_ptr<Aggregator> make_aggregator(const std::string& name,
-                                            const AggregatorOptions& options) {
-  return with_sanitize(make_rule(name, options), options);
 }
 
 }  // namespace zka::defense

@@ -1,7 +1,6 @@
 #include "defense/krum.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "defense/distance.h"
 #include "defense/fedavg.h"
@@ -25,15 +24,8 @@ std::vector<std::size_t> MultiKrum::select(
   const std::size_t dim = updates.front().size();
 
   if (sketch_.enabled_for(n, dim)) {
-    const tensor::JlSketch sketch(dim, sketch_.sketch_dim, sketch_.seed);
-    const std::vector<float> rows = project_rows(sketch, updates);
-    const SketchedSelectionPlan plan = plan_sketched_selection(
-        sketched_order(rows, n, sketch_.sketch_dim, f_, m, iterative_), n, f_,
-        m, sketch_.recheck_band);
-    std::vector<double> sum_all(dim, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      tensor::axpy(1.0, updates[i], sum_all);
-    }
+    std::vector<double> sum_all;
+    const SketchedSelectionPlan plan = plan_sketched(updates, sum_all);
     return recheck_selection(
         plan, sum_all, [&](std::size_t i) { return updates[i]; }, dim);
   }
@@ -44,7 +36,6 @@ std::vector<std::size_t> MultiKrum::select(
   const PairwiseMatrix sq_dist = pairwise_sq_distances(updates);
   std::vector<bool> excluded(n, false);
   std::vector<std::size_t> selected;
-  selected.reserve(m);
 
   if (!iterative_) {
     // One-shot scoring: rank all updates, keep the m lowest scores.
@@ -54,25 +45,10 @@ std::vector<std::size_t> MultiKrum::select(
       ranked.emplace_back(krum_score(sq_dist, i, neighbors, excluded), i);
     }
     std::sort(ranked.begin(), ranked.end());
+    selected.reserve(m);
     for (std::size_t k = 0; k < m; ++k) selected.push_back(ranked[k].second);
-    std::sort(selected.begin(), selected.end());
-    return selected;
-  }
-
-  for (std::size_t round = 0; round < m; ++round) {
-    double best_score = std::numeric_limits<double>::infinity();
-    std::size_t best = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (excluded[i]) continue;
-      const double score = krum_score(sq_dist, i, neighbors, excluded);
-      if (score < best_score) {
-        best_score = score;
-        best = i;
-      }
-    }
-    if (best == n) break;
-    excluded[best] = true;
-    selected.push_back(best);
+  } else {
+    selected = successive_krum_picks(sq_dist, m, neighbors, excluded);
   }
   std::sort(selected.begin(), selected.end());
   return selected;
@@ -84,26 +60,23 @@ std::vector<std::size_t> MultiKrum::select(
   return select(std::span<const UpdateView>(views));
 }
 
-AggregationResult MultiKrum::aggregate_sketched(
-    std::span<const UpdateView> updates) {
-  ZKA_PROF_SCOPE("aggregate/mkrum_sketch");
+SketchedSelectionPlan MultiKrum::plan_sketched(
+    std::span<const UpdateView> updates, std::vector<double>& sum_all) const {
   const std::size_t n = updates.size();
   const std::size_t dim = updates.front().size();
   const std::size_t m = selection_size(n);
-  const tensor::JlSketch sketch(dim, sketch_.sketch_dim, sketch_.seed);
+  const tensor::JlSketch sketch(dim, sketch_.sketch_dim, kSketchSeed);
   const std::vector<float> rows = project_rows(sketch, updates);
-  const SketchedSelectionPlan plan = plan_sketched_selection(
-      sketched_order(rows, n, sketch_.sketch_dim, f_, m, iterative_), n, f_, m,
-      sketch_.recheck_band);
   // Index-ascending Σ of all updates — the exact accumulation the streaming
   // path folds per stream_update, which is what makes the two paths
   // bitwise-identical.
-  std::vector<double> sum_all(dim, 0.0);
+  sum_all.assign(dim, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     tensor::axpy(1.0, updates[i], sum_all);
   }
-  return finish_sketched_selection(
-      plan, sum_all, [&](std::size_t i) { return updates[i]; }, dim);
+  return plan_sketched_selection(
+      sketched_order(rows, n, sketch_.sketch_dim, f_, m, iterative_), n, f_, m,
+      sketch_.recheck_band);
 }
 
 AggregationResult MultiKrum::do_aggregate(std::span<const UpdateView> updates,
@@ -111,10 +84,15 @@ AggregationResult MultiKrum::do_aggregate(std::span<const UpdateView> updates,
   ZKA_PROF_SCOPE("aggregate/mkrum");
   validate_updates(updates, weights);
   const std::size_t n = updates.size();
+  const std::size_t dim = updates.front().size();
   ZKA_CHECK(n == 1 || f_ < n,
             "MultiKrum: assumed Byzantine count f=%zu must be < n=%zu", f_, n);
-  if (n > 1 && sketch_.enabled_for(n, updates.front().size())) {
-    return aggregate_sketched(updates);
+  if (n > 1 && sketch_.enabled_for(n, dim)) {
+    ZKA_PROF_SCOPE("aggregate/mkrum_sketch");
+    std::vector<double> sum_all;
+    const SketchedSelectionPlan plan = plan_sketched(updates, sum_all);
+    return finish_sketched_selection(
+        plan, sum_all, [&](std::size_t i) { return updates[i]; }, dim);
   }
   AggregationResult result;
   result.selected = select(updates);
@@ -135,7 +113,7 @@ void MultiKrum::do_begin_stream(std::size_t dim,
     stream_buffer_.reserve(n);
     return;
   }
-  stream_sketch_.emplace(dim, sketch_.sketch_dim, sketch_.seed);
+  stream_sketch_.emplace(dim, sketch_.sketch_dim, kSketchSeed);
   stream_rows_.resize(n * sketch_.sketch_dim);
   stream_scratch_.resize(sketch_.sketch_dim);
   stream_sum_.assign(dim, 0.0);

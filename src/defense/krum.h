@@ -68,7 +68,11 @@ class MultiKrum : public Aggregator {
     const std::size_t m = m_ == 0 ? (n > f_ ? n - f_ : 1) : m_;
     return std::min(m, n);
   }
-  AggregationResult aggregate_sketched(std::span<const UpdateView> updates);
+  /// The sketched front half shared by select() and do_aggregate():
+  /// projects the rows, ranks them into a plan and folds `sum_all`, the
+  /// index-ascending sum of all updates.
+  SketchedSelectionPlan plan_sketched(std::span<const UpdateView> updates,
+                                      std::vector<double>& sum_all) const;
   void reset_stream();
 
   std::size_t f_;

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/check.h"
-
 namespace zka::defense::sanitize {
 
 namespace {
@@ -69,17 +67,13 @@ std::span<const float> Ingress::admit_update(std::span<const float> update) {
 std::span<const std::int64_t> Ingress::admit_weights(
     std::span<const std::int64_t> weights) {
   if (!options_.enabled || weights.empty()) return weights;
-  ZKA_CHECK(options_.weight_cap_ratio > 0.0,
-            "sanitize: weight_cap_ratio must be positive, got %f",
-            options_.weight_cap_ratio);
   median_scratch_.assign(weights.begin(), weights.end());
   const std::size_t mid = median_scratch_.size() / 2;
   std::nth_element(median_scratch_.begin(), median_scratch_.begin() + mid,
                    median_scratch_.end());
   const std::int64_t median = median_scratch_[mid];
   if (median <= 0) return weights;  // no meaningful scale to clamp against
-  const double cap_real =
-      static_cast<double>(median) * options_.weight_cap_ratio;
+  const double cap_real = static_cast<double>(median) * kWeightCapRatio;
   const std::int64_t cap =
       cap_real >= 9.2e18 ? std::numeric_limits<std::int64_t>::max()
                          : static_cast<std::int64_t>(cap_real);

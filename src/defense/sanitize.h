@@ -13,7 +13,7 @@
 //     exact.
 //   * admit_weights — reported weights are self-declared dataset sizes; a
 //     sybil claiming INT64_MAX owns the weighted mean on its own. Weights
-//     above median * weight_cap_ratio are clamped to that cap. Negative
+//     above median * kWeightCapRatio are clamped to that cap. Negative
 //     weights are NOT repaired here: they are a protocol violation and
 //     stay for validate_updates to reject.
 //
@@ -32,12 +32,14 @@
 
 namespace zka::defense::sanitize {
 
+/// Reported-weight cap as a multiple of the round's median weight.
+/// Ignored when the median is zero (no meaningful scale to clamp to).
+inline constexpr double kWeightCapRatio = 8.0;
+static_assert(kWeightCapRatio > 0.0, "the weight cap must be positive");
+
 struct Options {
   /// Master switch. Off = every admit_* is a bitwise pass-through.
   bool enabled = true;
-  /// Reported-weight cap as a multiple of the round's median weight.
-  /// Ignored when the median is zero (no meaningful scale to clamp to).
-  double weight_cap_ratio = 8.0;
 };
 
 class Ingress {
@@ -59,7 +61,7 @@ class Ingress {
   /// (valid until the next admit_update call).
   std::span<const float> admit_update(std::span<const float> update);
 
-  /// Clamps weights above median * weight_cap_ratio down to the cap.
+  /// Clamps weights above median * kWeightCapRatio down to the cap.
   /// All-clean weight lists pass through as the caller's span.
   std::span<const std::int64_t> admit_weights(
       std::span<const std::int64_t> weights);

@@ -43,11 +43,12 @@
 
 namespace zka::defense {
 
+/// Seed of the JL sign pattern (shared by server replicas for agreement).
+inline constexpr std::uint64_t kSketchSeed = 0x5ce7c41ULL;
+
 struct SketchOptions {
   /// JL sketch dimension k; 0 disables sketching (exact path everywhere).
   std::size_t sketch_dim = 0;
-  /// Seed of the sign pattern (shared by server replicas for agreement).
-  std::uint64_t seed = 0x5ce7c41ULL;
   /// Per-side width B of the exact re-check band around the selection
   /// cut: ranks [m−B, m+B) are re-ordered by exact full-dimension
   /// distance to the benign-pool centroid. 0 trusts the sketch ranking.

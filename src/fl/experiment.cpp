@@ -150,7 +150,11 @@ std::string BaselineCache::key(const SimulationConfig& config) {
 }
 
 double BaselineCache::attack_free_accuracy(SimulationConfig config) {
+  // The baseline is attack-free FedAvg whatever the caller's defense: the
+  // cache key leaves the defense out, and Simulation would build
+  // custom_defense in place of the named rule.
   config.defense = "fedavg";
+  config.custom_defense = nullptr;
   config.malicious_fraction = 0.0;
   const std::string cache_key = key(config);
   const auto it = cache_.find(cache_key);

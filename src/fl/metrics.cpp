@@ -131,6 +131,8 @@ double backdoor_success_rate(const models::ModelFactory& factory,
                              std::int64_t target_label,
                              std::int64_t trigger_size,
                              std::int64_t batch_size) {
+  ZKA_CHECK(batch_size > 0, "backdoor_success_rate: batch_size %lld",
+            static_cast<long long>(batch_size));
   // Build the triggered copy of all non-target-class test images.
   std::vector<std::int64_t> eligible;
   eligible.reserve(static_cast<std::size_t>(clean_test.size()));

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "data/synthetic.h"
 #include "fl/metrics.h"
@@ -141,6 +144,27 @@ TEST(BackdoorMetric, ExcludesTargetClassImages) {
   const auto params = nn::get_flat_params(*factory(3));
   EXPECT_TRUE(std::isnan(
       fl::backdoor_success_rate(factory, params, only_target, 5, 4)));
+}
+
+TEST(BackdoorMetric, RejectsNonPositiveBatchSize) {
+  // Regression: the batch loop had no guard. batch_size = 0 never advanced
+  // it, and the call only stopped if some layer happened to reject the
+  // empty batch; a negative size walked off the dataset.
+  const auto test_set =
+      data::make_synthetic_dataset(models::Task::kFashion, 20, 31);
+  const auto factory = models::task_model_factory(models::Task::kFashion);
+  const auto params = nn::get_flat_params(*factory(4));
+  EXPECT_THROW(fl::backdoor_success_rate(factory, params, test_set, 4, 4, 0),
+               std::invalid_argument);
+  for (const std::int64_t batch_size : {0, -3}) {
+    try {
+      fl::backdoor_success_rate(factory, params, test_set, 4, 4, batch_size);
+      ADD_FAILURE() << "batch_size " << batch_size << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("batch_size"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -21,7 +21,8 @@ struct Case {
 class DefenseProperty : public ::testing::TestWithParam<Case> {
  protected:
   std::unique_ptr<Aggregator> make() const {
-    return make_aggregator(GetParam().name, GetParam().f);
+    return make_aggregator(GetParam().name,
+                           {.num_byzantine = GetParam().f});
   }
 };
 
@@ -129,8 +130,8 @@ TEST_P(DefenseProperty, SanitizeOffIsPaperFaithful) {
   options.num_byzantine = GetParam().f;
   options.sketch_dim = 4;
   options.memory_budget_bytes = std::size_t{1} << 20;
-  options.sanitize = false;
   auto streaming = make_aggregator(name, options);
+  streaming->set_sanitize({.enabled = false});
   ASSERT_TRUE(streaming->supports_streaming()) << name;
   streaming->begin_stream(updates.front().size(),
                           std::vector<std::int64_t>(6, 1));

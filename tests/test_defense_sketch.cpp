@@ -229,6 +229,36 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::pair<std::size_t, std::size_t>>&
            info) { return "n" + std::to_string(info.param.first); });
 
+// select() and aggregate() reach the selection through two entry points
+// (select() re-checks, aggregate() also folds the mean); both must share
+// one plan and one exclusion loop, so their selections are identical.
+class SelectMatchesAggregateTest
+    : public ::testing::TestWithParam<std::pair<bool, bool>> {};
+
+TEST_P(SelectMatchesAggregateTest, SameSelection) {
+  const auto [sketched, iterative] = GetParam();
+  const std::size_t n = 32, sybils = 4;
+  const auto updates = zka_round_updates(n, sybils, sybils, 0xF5);
+  const SketchOptions sketch{.sketch_dim = sketched ? 256u : 0u};
+  ASSERT_EQ(sketch.enabled_for(n, updates.front().size()), sketched);
+
+  MultiKrum krum(sybils, 0, iterative, sketch);
+  const auto selected = krum.select(updates);
+  EXPECT_EQ(selected.size(), n - sybils);
+  EXPECT_EQ(selected, krum.aggregate(updates, unit_weights(n)).selected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExactAndSketched, SelectMatchesAggregateTest,
+    ::testing::Values(std::pair<bool, bool>{false, false},
+                      std::pair<bool, bool>{false, true},
+                      std::pair<bool, bool>{true, false},
+                      std::pair<bool, bool>{true, true}),
+    [](const ::testing::TestParamInfo<std::pair<bool, bool>>& info) {
+      return std::string(info.param.first ? "Sketched" : "Exact") +
+             (info.param.second ? "Iterative" : "OneShot");
+    });
+
 TEST(SketchedKrum, WinnerIsBenignUnderAmplifiedZkaRSybils) {
   // Plain Krum (m = 1) with the ZKA-R direction boosted the way a
   // visibility-unconstrained attacker would scale it — to 4x the benign
@@ -443,9 +473,11 @@ TEST(Factory, SketchAndBudgetKnobsReachTheRules) {
   EXPECT_TRUE(median->supports_streaming());
   EXPECT_FALSE(median->streaming_exact());
 
-  // Legacy signature keeps the exact batch-only behaviour.
-  EXPECT_FALSE(make_aggregator("mkrum", 2)->supports_streaming());
-  EXPECT_FALSE(make_aggregator("median", 2)->supports_streaming());
+  // Without the sketch and budget knobs both rules stay exact and batch-only.
+  EXPECT_FALSE(
+      make_aggregator("mkrum", {.num_byzantine = 2})->supports_streaming());
+  EXPECT_FALSE(
+      make_aggregator("median", {.num_byzantine = 2})->supports_streaming());
 }
 
 }  // namespace

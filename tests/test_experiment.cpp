@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <stdexcept>
 
 namespace zka::fl {
 namespace {
@@ -78,6 +80,23 @@ TEST(BaselineCacheTest, CachesAcrossDefenses) {
   const double b = cache.attack_free_accuracy(config);
   EXPECT_DOUBLE_EQ(a, b);
   EXPECT_GT(a, 0.1);
+}
+
+TEST(BaselineCacheTest, IgnoresCustomDefense) {
+  // Regression: the baseline kept the caller's custom_defense, which
+  // Simulation prefers over the named rule, so an "attack-free FedAvg"
+  // baseline actually ran the custom defense (and, the key leaving the
+  // defense out, was then reused for every other config).
+  SimulationConfig config = tiny_config();
+  BaselineCache plain;
+  const double expected = plain.attack_free_accuracy(config);
+  config.custom_defense = []() -> std::unique_ptr<defense::Aggregator> {
+    throw std::runtime_error("the baseline must not build custom_defense");
+  };
+  BaselineCache cache;
+  double baseline = 0.0;
+  EXPECT_NO_THROW(baseline = cache.attack_free_accuracy(config));
+  EXPECT_DOUBLE_EQ(baseline, expected);
 }
 
 TEST(BaselineCacheTest, DifferentSeedsGetDifferentEntries) {

@@ -267,7 +267,7 @@ TEST(Simulation, CustomDefenseFactoryOverridesName) {
   SimulationConfig config = tiny_config();
   config.defense = "bogus-name-ignored";
   config.custom_defense = [] {
-    return defense::make_aggregator("median", 0);
+    return defense::make_aggregator("median", {.num_byzantine = 0});
   };
   Simulation sim(config);
   EXPECT_GT(sim.run(nullptr).max_accuracy, 0.3);

@@ -128,7 +128,7 @@ TEST(SanitizeWeights, SybilWeightCannotOwnTheMean) {
 class SanitizedDefense : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SanitizedDefense, PoisonedBatchYieldsFiniteModel) {
-  auto agg = make_aggregator(GetParam(), 2);
+  auto agg = make_aggregator(GetParam(), {.num_byzantine = 2});
   std::vector<Update> updates;
   for (int k = 0; k < 8; ++k) {
     updates.push_back(Update{0.1f * static_cast<float>(k), 1.0f, -0.5f});
