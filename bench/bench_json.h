@@ -16,8 +16,13 @@
 //         "ns_op": {"mean":..,"min":..,"max":..,"p50":..,"stddev":..},
 //         "metrics": { ... optional domain metrics (acc, ASR, ...) ... } }
 //     ],
-//     "prof": { "enabled": bool, "counters": {...}, "summary": [...] }
+//     "prof": { "enabled": bool, "dropped_events": N,
+//               "counters": {...}, "summary": [...] }
 //   }
+//
+// "summary" is rebuilt from per-thread event rings that wrap; a non-zero
+// "dropped_events" says it undercounts, and tools/bench_diff.py --validate
+// rejects such a file.
 //
 // All times are nanoseconds. NaN metrics serialize as null.
 #pragma once
@@ -121,6 +126,8 @@ class BenchJson {
     }
     out += "],\"prof\":{\"enabled\":";
     out += util::prof::enabled() ? "true" : "false";
+    out += ",\"dropped_events\":" +
+           std::to_string(util::prof::dropped_events());
     out += ",\"counters\":{";
     bool first = true;
     for (const auto& c : util::prof::counters()) {

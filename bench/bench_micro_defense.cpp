@@ -69,6 +69,13 @@ BENCHMARK(BM_GeoMedian) DEFENSE_ARGS;
 BENCHMARK(BM_CenteredClip) DEFENSE_ARGS;
 BENCHMARK(BM_Dnc) DEFENSE_ARGS;
 
+// The production-scale cohort of Shejwalkar et al.: at n = 200 Bulyan's
+// successive Krum picks, not the O(n²·d) Gram pass, set the server's cost.
+BENCHMARK(BM_Bulyan)
+    ->Args({200, 8192})
+    ->ArgNames({"n", "dim"})
+    ->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 ZKA_BENCH_MAIN("micro_defense");

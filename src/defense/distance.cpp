@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "tensor/ops.h"
@@ -129,35 +131,48 @@ PairwiseMatrix pairwise_cosine(std::span<const UpdateView> updates) {
   return cs;
 }
 
-double krum_score(const PairwiseMatrix& sq_dist, std::size_t i,
-                  std::size_t num_neighbors,
-                  const std::vector<bool>& excluded) {
-  const std::size_t n = sq_dist.size();
-  ZKA_DCHECK(i < n, "krum_score: index %zu out of %zu updates", i, n);
-  ZKA_DCHECK(excluded.size() == n,
-             "krum_score: exclusion mask of %zu for %zu updates",
-             excluded.size(), n);
-  std::vector<double> dists;
-  dists.reserve(n);
-  const double* row = sq_dist.row(i);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (j == i || excluded[j]) continue;
-    dists.push_back(row[j]);
+KrumScorer::KrumScorer(PairwiseMatrix sq_dist)
+    : sq_dist_(std::move(sq_dist)) {
+  const std::size_t n = sq_dist_.size();
+  ZKA_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+            "KrumScorer: %zu updates overflow the uint32 row order", n);
+  order_.resize(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* row = sq_dist_.row(i);
+    const auto first = order_.begin() + static_cast<std::ptrdiff_t>(i * n);
+    const auto last = first + static_cast<std::ptrdiff_t>(n);
+    std::iota(first, last, std::uint32_t{0});
+    std::sort(first, last, [row](std::uint32_t a, std::uint32_t b) {
+      return score_index_less(row[a], a, row[b], b);
+    });
   }
-  const std::size_t k = std::min(num_neighbors, dists.size());
-  std::partial_sort(dists.begin(),
-                    dists.begin() + static_cast<std::ptrdiff_t>(k),
-                    dists.end());
+}
+
+double KrumScorer::score(std::size_t i, std::size_t num_neighbors,
+                         const std::vector<bool>& excluded) const {
+  const std::size_t n = sq_dist_.size();
+  ZKA_DCHECK(i < n, "KrumScorer::score: index %zu out of %zu updates", i, n);
+  ZKA_DCHECK(excluded.size() == n,
+             "KrumScorer::score: exclusion mask of %zu for %zu updates",
+             excluded.size(), n);
+  const double* row = sq_dist_.row(i);
+  const std::uint32_t* order = order_.data() + i * n;
   double score = 0.0;
-  for (std::size_t j = 0; j < k; ++j) score += dists[j];
+  std::size_t taken = 0;
+  for (std::size_t t = 0; t < n && taken < num_neighbors; ++t) {
+    const std::size_t j = order[t];
+    if (j == i || excluded[j]) continue;
+    score += row[j];
+    ++taken;
+  }
   return score;
 }
 
-std::vector<std::size_t> successive_krum_picks(const PairwiseMatrix& sq_dist,
+std::vector<std::size_t> successive_krum_picks(const KrumScorer& scorer,
                                                std::size_t picks,
                                                std::size_t num_neighbors,
                                                std::vector<bool>& excluded) {
-  const std::size_t n = sq_dist.size();
+  const std::size_t n = scorer.size();
   std::vector<std::size_t> picked;
   picked.reserve(std::min(picks, n));
   for (std::size_t round = 0; round < picks; ++round) {
@@ -165,7 +180,7 @@ std::vector<std::size_t> successive_krum_picks(const PairwiseMatrix& sq_dist,
     std::size_t best = n;
     for (std::size_t i = 0; i < n; ++i) {
       if (excluded[i]) continue;
-      const double score = krum_score(sq_dist, i, num_neighbors, excluded);
+      const double score = scorer.score(i, num_neighbors, excluded);
       if (score < best_score) {
         best_score = score;
         best = i;

@@ -33,7 +33,7 @@ std::vector<std::size_t> MultiKrum::select(
   // Krum needs n - f - 2 >= 1 neighbors; degrade gracefully on tiny rounds.
   const std::size_t neighbors = n > f_ + 2 ? n - f_ - 2 : 1;
 
-  const PairwiseMatrix sq_dist = pairwise_sq_distances(updates);
+  const KrumScorer scorer(pairwise_sq_distances(updates));
   std::vector<bool> excluded(n, false);
   std::vector<std::size_t> selected;
 
@@ -42,13 +42,13 @@ std::vector<std::size_t> MultiKrum::select(
     std::vector<std::pair<double, std::size_t>> ranked;
     ranked.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      ranked.emplace_back(krum_score(sq_dist, i, neighbors, excluded), i);
+      ranked.emplace_back(scorer.score(i, neighbors, excluded), i);
     }
-    std::sort(ranked.begin(), ranked.end());
+    std::sort(ranked.begin(), ranked.end(), ranked_less);
     selected.reserve(m);
     for (std::size_t k = 0; k < m; ++k) selected.push_back(ranked[k].second);
   } else {
-    selected = successive_krum_picks(sq_dist, m, neighbors, excluded);
+    selected = successive_krum_picks(scorer, m, neighbors, excluded);
   }
   std::sort(selected.begin(), selected.end());
   return selected;

@@ -153,7 +153,7 @@ std::vector<std::size_t> sketched_order(std::span<const float> rows,
     std::vector<std::pair<double, std::size_t>> ranked;
     ranked.reserve(n);
     for (std::size_t i = 0; i < n; ++i) ranked.emplace_back(scores[i], i);
-    std::sort(ranked.begin(), ranked.end());
+    std::sort(ranked.begin(), ranked.end(), ranked_less);
     for (const auto& [score, i] : ranked) order.push_back(i);
     return order;
   }
@@ -166,15 +166,15 @@ std::vector<std::size_t> sketched_order(std::span<const float> rows,
   for (std::size_t i = 0; i < n; ++i) {
     views.emplace_back(rows.data() + i * k, k);
   }
-  const PairwiseMatrix sq_dist = pairwise_sq_distances(views);
+  const KrumScorer scorer(pairwise_sq_distances(views));
   std::vector<bool> excluded(n, false);
-  order = successive_krum_picks(sq_dist, m, neighbors, excluded);
+  order = successive_krum_picks(scorer, m, neighbors, excluded);
   std::vector<std::pair<double, std::size_t>> rest;
   for (std::size_t i = 0; i < n; ++i) {
     if (excluded[i]) continue;
-    rest.emplace_back(krum_score(sq_dist, i, neighbors, excluded), i);
+    rest.emplace_back(scorer.score(i, neighbors, excluded), i);
   }
-  std::sort(rest.begin(), rest.end());
+  std::sort(rest.begin(), rest.end(), ranked_less);
   for (const auto& [score, i] : rest) order.push_back(i);
   return order;
 }
@@ -255,7 +255,7 @@ std::vector<std::size_t> recheck_selection(
     const std::size_t i = plan.order[rank];
     band.emplace_back(tensor::squared_distance(full_row(i), centroid), i);
   }
-  std::sort(band.begin(), band.end());
+  std::sort(band.begin(), band.end(), ranked_less);
 
   selection.resize(m - plan.band_lo);
   for (std::size_t t = 0; t < plan.band_lo; ++t) {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <string>
 
 #include "defense/bulyan.h"
 #include "defense/distance.h"
@@ -251,6 +253,115 @@ TEST(BulyanRule, GramPathSelectionsMatchScalarReference) {
   const auto ref = scalar_sq_distances(updates);
   const std::size_t theta = updates.size() - 2 * f;
   EXPECT_EQ(result.selected, reference_krum_select(ref, f, theta, true));
+}
+
+// The scorer KrumScorer replaced, kept verbatim as the bitwise reference:
+// copy the non-excluded distances, partial_sort the k smallest, sum them
+// in ascending order.
+double per_score_sort_krum_score(const PairwiseMatrix& sq_dist, std::size_t i,
+                                 std::size_t num_neighbors,
+                                 const std::vector<bool>& excluded) {
+  const std::size_t n = sq_dist.size();
+  std::vector<double> dists;
+  dists.reserve(n);
+  const double* row = sq_dist.row(i);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (j == i || excluded[j]) continue;
+    dists.push_back(row[j]);
+  }
+  const std::size_t k = std::min(num_neighbors, dists.size());
+  std::partial_sort(dists.begin(),
+                    dists.begin() + static_cast<std::ptrdiff_t>(k),
+                    dists.end());
+  double score = 0.0;
+  for (std::size_t j = 0; j < k; ++j) score += dists[j];
+  return score;
+}
+
+std::vector<std::size_t> per_score_sort_krum_picks(
+    const PairwiseMatrix& sq_dist, std::size_t picks,
+    std::size_t num_neighbors, std::vector<bool>& excluded) {
+  const std::size_t n = sq_dist.size();
+  std::vector<std::size_t> picked;
+  for (std::size_t round = 0; round < picks; ++round) {
+    double best_score = std::numeric_limits<double>::infinity();
+    std::size_t best = n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (excluded[i]) continue;
+      const double score =
+          per_score_sort_krum_score(sq_dist, i, num_neighbors, excluded);
+      if (score < best_score) {
+        best_score = score;
+        best = i;
+      }
+    }
+    if (best == n) break;
+    excluded[best] = true;
+    picked.push_back(best);
+  }
+  return picked;
+}
+
+// A symmetric, zero-diagonal matrix full of ties: updates drawn from a
+// handful of integer positions (so whole rows repeat and many distances
+// are equal or zero), scaled by a random factor so that sums round
+// differently in different orders, optionally with continuous noise, and
+// with some pairs set to +inf.
+PairwiseMatrix tie_heavy_matrix(std::size_t n, util::Rng& rng) {
+  const std::size_t positions = 1 + rng.uniform_index(4);
+  const double scale = rng.uniform() < 0.5 ? 1.0 : rng.uniform(0.1, 10.0);
+  const bool noisy = rng.uniform() < 0.3;
+  const double inf_rate = rng.uniform() < 0.5 ? 0.0 : 0.1;
+  std::vector<double> pos(n);
+  for (auto& p : pos) p = static_cast<double>(rng.uniform_index(positions));
+  PairwiseMatrix d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      double v = (pos[i] - pos[j]) * (pos[i] - pos[j]) * scale;
+      if (noisy) v += rng.uniform(0.0, 3.0);
+      if (rng.uniform() < inf_rate) {
+        v = std::numeric_limits<double>::infinity();
+      }
+      d(i, j) = v;
+      d(j, i) = v;
+    }
+  }
+  return d;
+}
+
+TEST(KrumScorerParity, MatchesPerScoreSortBitwise) {
+  util::Rng rng(20261019);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = 2 + rng.uniform_index(63);
+    const PairwiseMatrix d = tie_heavy_matrix(n, rng);
+    const std::size_t f = rng.uniform_index(n);
+    const std::size_t neighbors = n > f + 2 ? n - f - 2 : 1;
+    const std::size_t picks = rng.uniform_index(n + 2);
+    std::vector<bool> excluded(n, false);
+    for (std::size_t i = 0; i < n; ++i) excluded[i] = rng.uniform() < 0.2;
+    std::vector<bool> ref_excluded = excluded;
+
+    const KrumScorer scorer(d);
+    const auto picked = successive_krum_picks(scorer, picks, neighbors,
+                                              excluded);
+    const auto ref_picked =
+        per_score_sort_krum_picks(d, picks, neighbors, ref_excluded);
+    const std::string where = "trial " + std::to_string(trial) +
+                              " n=" + std::to_string(n) +
+                              " f=" + std::to_string(f);
+    ASSERT_EQ(picked, ref_picked) << where;
+    ASSERT_EQ(excluded, ref_excluded) << where;
+    // Leftover scores rank the tail of sketched_order, so they must be the
+    // same doubles, not merely equal ones.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (excluded[i]) continue;
+      const double got = scorer.score(i, neighbors, excluded);
+      const double want =
+          per_score_sort_krum_score(d, i, neighbors, ref_excluded);
+      ASSERT_EQ(0, std::memcmp(&got, &want, sizeof(double)))
+          << where << " i=" << i << ": " << got << " vs " << want;
+    }
+  }
 }
 
 TEST(KrumRule, PlainKrumPicksCentralUpdate) {

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <tuple>
 
 #include "defense/aggregator.h"
 #include "util/check.h"
@@ -144,6 +145,66 @@ TEST_P(DefenseProperty, SanitizeOffIsPaperFaithful) {
                              result.model.size() * sizeof(float)));
   }
 }
+
+// Unsanitized NaN coordinates make NaN squared distances, in the exact
+// per-pair path (dim < 64) and in the Gram path (dim >= 64) alike. The
+// distance-based selections must stay defined on them: nothing throws, and
+// the same round selects the same updates and model bits every time.
+class NanRoundSelection
+    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {
+ protected:
+  static constexpr std::size_t kN = 24;
+  static constexpr std::size_t kNanUpdate = 5;
+
+  static std::vector<Update> nan_round(std::size_t dim) {
+    auto updates = random_updates(kN, dim, 31);
+    updates[kNanUpdate][dim / 2] = std::numeric_limits<float>::quiet_NaN();
+    return updates;
+  }
+  static std::unique_ptr<Aggregator> make_unsanitized(const char* name) {
+    auto agg = make_aggregator(name, {.num_byzantine = 5});
+    agg->set_sanitize({.enabled = false});
+    return agg;
+  }
+};
+
+TEST_P(NanRoundSelection, DeterministicWithoutSanitizing) {
+  const auto [name, dim] = GetParam();
+  const auto updates = nan_round(dim);
+  const std::vector<std::int64_t> weights(kN, 1);
+  AggregationResult runs[2];
+  for (auto& run : runs) {
+    ASSERT_NO_THROW(run = make_unsanitized(name)->aggregate(updates, weights))
+        << name;
+  }
+  EXPECT_EQ(runs[0].selected, runs[1].selected) << name;
+  ASSERT_EQ(runs[0].model.size(), dim) << name;
+  ASSERT_EQ(runs[1].model.size(), dim) << name;
+  EXPECT_EQ(0, std::memcmp(runs[0].model.data(), runs[1].model.data(),
+                           dim * sizeof(float)))
+      << name;
+}
+
+TEST_P(NanRoundSelection, NanUpdateIsNeverSelected) {
+  // Every distance of the NaN update is NaN, and NaN ranks after +inf, so
+  // its score is NaN and never wins a pick or a rank; the other updates'
+  // scores skip the NaN distance while enough finite neighbours remain.
+  const auto [name, dim] = GetParam();
+  const auto result = make_unsanitized(name)->aggregate(
+      nan_round(dim), std::vector<std::int64_t>(kN, 1));
+  EXPECT_FALSE(result.selected.empty()) << name;
+  for (const std::size_t i : result.selected) EXPECT_NE(i, kNanUpdate) << name;
+  for (const float v : result.model) EXPECT_TRUE(std::isfinite(v)) << name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    DistanceRules, NanRoundSelection,
+    ::testing::Combine(::testing::Values("krum", "mkrum", "bulyan"),
+                       ::testing::Values(std::size_t{10}, std::size_t{96})),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_dim" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST_P(DefenseProperty, OutputFinite) {
   auto agg = make();

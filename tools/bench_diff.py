@@ -17,7 +17,11 @@ without loosening the check for every other unshared label the way
 --missing-ok does.
 
 Validate mode checks the zka-bench-v1 schema shape and exits 1 on the
-first malformed file. No third-party dependencies.
+first malformed file. A file whose prof block reports dropped_events > 0
+next to a non-empty summary is malformed too: the summary is rebuilt
+from event rings that wrapped, so its counts and percentiles undercount.
+Files written before the field existed (no dropped_events) validate.
+No third-party dependencies.
 """
 
 import argparse
@@ -68,6 +72,13 @@ def validate(path: str, doc: dict) -> None:
     if not isinstance(prof.get("counters"), dict) or not isinstance(
             prof.get("summary"), list):
         fail(f"{path}: prof block malformed")
+    dropped = prof.get("dropped_events", 0)
+    if isinstance(dropped, bool) or not isinstance(dropped, int) or \
+            dropped < 0:
+        fail(f"{path}: prof.dropped_events is not a non-negative integer")
+    if dropped > 0 and prof["summary"]:
+        fail(f"{path}: prof.summary undercounts: {dropped} profiler "
+             f"event(s) were dropped when the event rings wrapped")
 
 
 def entries_by_label(doc: dict) -> dict:
