@@ -38,11 +38,8 @@ int main(int argc, char** argv) {
                                 std::to_string(p.f) +
                                 "/m=" + std::to_string(p.m) + "/" +
                                 fl::attack_kind_name(attack);
-      const fl::ExperimentOutcome outcome =
-          bench::timed(report, label, [&] {
-            return fl::run_experiment(config, attack, zka, scale.runs,
-                                      baselines);
-          });
+      const fl::ExperimentOutcome outcome = bench::timed_experiment(
+          report, label, config, attack, zka, scale.runs, baselines);
       report.add_metric(label, "asr", outcome.asr);
       report.add_metric(label, "dpr", outcome.dpr);
       mkrum_table.add_row(
@@ -80,11 +77,8 @@ int main(int argc, char** argv) {
       }
       const std::string label =
           std::string(defense) + "/" + fl::attack_kind_name(attack);
-      const fl::ExperimentOutcome outcome =
-          bench::timed(report, label, [&] {
-            return fl::run_experiment(config, attack, zka, scale.runs,
-                                      baselines);
-          });
+      const fl::ExperimentOutcome outcome = bench::timed_experiment(
+          report, label, config, attack, zka, scale.runs, baselines);
       report.add_metric(label, "asr", outcome.asr);
       report.add_metric(label, "acc", outcome.max_acc);
       ext_table.add_row({defense, fl::attack_kind_name(attack),

@@ -83,11 +83,8 @@ int main(int argc, char** argv) {
         bench::make_config(task, scale, "mkrum");
     const std::string label = std::string(fl::attack_kind_name(kind)) + "/" +
                               knob + "=" + value;
-    const fl::ExperimentOutcome outcome =
-        bench::timed(report, label, [&] {
-          return fl::run_experiment(config, kind, zka, scale.runs,
-                                    baselines);
-        });
+    const fl::ExperimentOutcome outcome = bench::timed_experiment(
+        report, label, config, kind, zka, scale.runs, baselines);
     fl::Simulation probe_sim(config);
     const auto attack = fl::make_attack(kind, probe_sim, zka, scale.seed);
     const double sep = probe_separability(task, *attack, scale.seed + 17);

@@ -181,6 +181,25 @@ decltype(auto) timed(BenchJson& report, const std::string& label, Fn&& fn) {
   }
 }
 
+/// Runs fl::run_experiment and records its wall time as one sample of
+/// `label`. The attack-free baselines of its run seeds (config.seed,
+/// config.seed + 1, ...) are filled first, outside the clock, so the first
+/// row of each baseline key does not also time the clean FedAvg run that
+/// the rows after it reuse.
+inline fl::ExperimentOutcome timed_experiment(
+    BenchJson& report, const std::string& label,
+    const fl::SimulationConfig& config, fl::AttackKind kind,
+    const core::ZkaOptions& zka, int runs, fl::BaselineCache& baselines) {
+  for (int r = 0; r < runs; ++r) {
+    fl::SimulationConfig run_config = config;
+    run_config.seed = config.seed + static_cast<std::uint64_t>(r);
+    baselines.attack_free_accuracy(run_config);
+  }
+  return timed(report, label, [&] {
+    return fl::run_experiment(config, kind, zka, runs, baselines);
+  });
+}
+
 /// Writes BENCH_<name>.json into `--out` (default results/) and, when
 /// `--trace PATH` was given, a Chrome trace-event file of the whole run.
 inline void finish_report(const BenchJson& report,

@@ -27,12 +27,9 @@ int main(int argc, char** argv) {
         const std::string label = std::string(models::task_name(task)) +
                                   "/" + defense + "/" +
                                   fl::attack_kind_name(attack);
-        const fl::ExperimentOutcome outcome =
-            bench::timed(report, label, [&] {
-              return fl::run_experiment(config, attack,
-                                        bench::default_zka_options(task),
-                                        scale.runs, baselines);
-            });
+        const fl::ExperimentOutcome outcome = bench::timed_experiment(
+            report, label, config, attack, bench::default_zka_options(task),
+            scale.runs, baselines);
         report.add_metric(label, "dpr", outcome.dpr);
         table.add_row({models::task_name(task), defense,
                        fl::attack_kind_name(attack),

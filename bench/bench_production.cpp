@@ -69,12 +69,9 @@ int main(int argc, char** argv) {
         char label[96];
         std::snprintf(label, sizeof label, "pop%lld/%s/f%.3f",
                       static_cast<long long>(population), defense, fraction);
-        const fl::ExperimentOutcome outcome =
-            bench::timed(report, label, [&] {
-              return fl::run_experiment(config, fl::AttackKind::kZkaR,
-                                        bench::default_zka_options(task),
-                                        scale.runs, baselines);
-            });
+        const fl::ExperimentOutcome outcome = bench::timed_experiment(
+            report, label, config, fl::AttackKind::kZkaR,
+            bench::default_zka_options(task), scale.runs, baselines);
         ZKA_CHECK(!streams || outcome.peak_update_bytes <= budget_bytes,
                   "%s: streaming run held %zu live update bytes, over the "
                   "%zu-byte budget",

@@ -32,16 +32,12 @@ int main(int argc, char** argv) {
         const core::ZkaOptions zka = bench::default_zka_options(task);
         const std::string base = std::string(pair.family) + "/" +
                                  models::task_name(task) + "/" + defense;
-        const fl::ExperimentOutcome st =
-            bench::timed(report, base + "/static", [&] {
-              return fl::run_experiment(config, pair.static_kind, zka,
-                                        scale.runs, baselines);
-            });
-        const fl::ExperimentOutcome tr =
-            bench::timed(report, base + "/trained", [&] {
-              return fl::run_experiment(config, pair.trained_kind, zka,
-                                        scale.runs, baselines);
-            });
+        const fl::ExperimentOutcome st = bench::timed_experiment(
+            report, base + "/static", config, pair.static_kind, zka, scale.runs,
+            baselines);
+        const fl::ExperimentOutcome tr = bench::timed_experiment(
+            report, base + "/trained", config, pair.trained_kind, zka,
+            scale.runs, baselines);
         report.add_metric(base + "/static", "asr", st.asr);
         report.add_metric(base + "/static", "dpr", st.dpr);
         report.add_metric(base + "/trained", "asr", tr.asr);

@@ -36,11 +36,8 @@ int main(int argc, char** argv) {
         const std::string label = std::string(fl::attack_kind_name(attack)) +
                                   "/" + defense +
                                   "/lambda=" + util::Table::fmt(lambda, 1);
-        const fl::ExperimentOutcome outcome =
-            bench::timed(report, label, [&] {
-              return fl::run_experiment(config, attack, zka, scale.runs,
-                                        baselines);
-            });
+        const fl::ExperimentOutcome outcome = bench::timed_experiment(
+            report, label, config, attack, zka, scale.runs, baselines);
         report.add_metric(label, "asr", outcome.asr);
         report.add_metric(label, "dpr", outcome.dpr);
         table.add_row({fl::attack_kind_name(attack), defense,

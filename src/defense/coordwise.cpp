@@ -31,12 +31,11 @@ void for_each_sorted_coordinate(
   const std::size_t rows = std::bit_ceil(n);
   const std::size_t nblocks = (dim + kCoordBlock - 1) / kCoordBlock;
 
-  const bool parallel = tensor::kernel_parallelism_enabled() && nblocks > 1 &&
-                        n * dim >= (std::size_t{1} << 18) &&
-                        util::global_thread_pool().size() > 1;
+  const bool fork =
+      tensor::kernel_fork_worthwhile(n * dim >= (std::size_t{1} << 18));
   const std::size_t nchunks =
-      parallel ? std::min(nblocks, util::global_thread_pool().size())
-               : std::size_t{1};
+      fork ? std::min(nblocks, util::global_thread_pool().size())
+           : std::size_t{1};
 
   // Scratch is allocated once up front — one tile plus one gather buffer
   // per chunk — instead of per block inside the parallel region, where
@@ -80,11 +79,7 @@ void for_each_sorted_coordinate(
     }
   };
 
-  if (parallel) {
-    util::global_thread_pool().parallel_for(nchunks, run_chunk);
-  } else {
-    run_chunk(0);
-  }
+  tensor::kernel_parallel_for(nchunks, fork, run_chunk);
 }
 
 }  // namespace zka::defense

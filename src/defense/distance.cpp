@@ -12,7 +12,6 @@
 #include "tensor/ops.h"
 #include "tensor/reduce.h"
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 namespace zka::defense {
 namespace {
@@ -27,13 +26,7 @@ constexpr std::size_t kGramMinDim = 64;
 // is a pure function of (i, j) — deterministic for any thread count.
 void for_each_row(std::size_t n, std::size_t dim,
                   const std::function<void(std::size_t)>& body) {
-  if (tensor::kernel_parallelism_enabled() && n > 1 &&
-      n * dim >= (std::size_t{1} << 18) &&
-      util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(n, body);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-  }
+  tensor::kernel_parallel_for(n, n * dim >= (std::size_t{1} << 18), body);
 }
 
 // Update-dimension agreement: every pairwise reduction below assumes a

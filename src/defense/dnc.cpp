@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
+#include "defense/distance.h"
 #include "defense/fedavg.h"
 #include "tensor/reduce.h"
 #include "util/check.h"
@@ -41,12 +43,7 @@ AggregationResult Dnc::do_aggregate(std::span<const UpdateView> updates,
     // keep dominating the spectral direction and re-absorb the iteration's
     // entire filter budget, so later iterations would never see a fresh
     // candidate to discard.
-    std::vector<std::size_t> active;
-    active.reserve(accepted_count);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (accepted[i]) active.push_back(i);
-    }
-    const std::size_t na = active.size();
+    const std::size_t na = accepted_count;
 
     // Random coordinate block.
     const std::size_t b = std::min(options_.subsample_dim, dim);
@@ -58,16 +55,37 @@ AggregationResult Dnc::do_aggregate(std::span<const UpdateView> updates,
       coords.assign(picked.begin(), picked.end());
     }
 
-    // Centered submatrix A [na, b].
+    // An accepted row with a non-finite value in the block (possible only
+    // with sanitizing off) would make the centering mean, and with it every
+    // score, NaN. Such a row scores NaN itself, which ranked_less puts after
+    // +inf, so it is discarded first; the statistics run over the others.
+    std::vector<std::size_t> active;
+    active.reserve(na);
+    scores.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!accepted[i]) continue;
+      const bool finite = std::all_of(coords.begin(), coords.end(),
+                                      [&](std::size_t c) {
+                                        return std::isfinite(updates[i][c]);
+                                      });
+      if (finite) {
+        active.push_back(i);
+      } else {
+        scores.emplace_back(std::numeric_limits<double>::quiet_NaN(), i);
+      }
+    }
+    const std::size_t nf = active.size();
+
+    // Centered submatrix A [nf, b].
     std::vector<double> mean(b, 0.0);
     for (const std::size_t i : active) {
       for (std::size_t j = 0; j < b; ++j) {
         mean[j] += static_cast<double>(updates[i][coords[j]]);
       }
     }
-    for (auto& m : mean) m /= static_cast<double>(na);
-    std::vector<double> a(na * b);
-    for (std::size_t r = 0; r < na; ++r) {
+    for (auto& m : mean) m /= static_cast<double>(nf);
+    std::vector<double> a(nf * b);
+    for (std::size_t r = 0; r < nf; ++r) {
       for (std::size_t j = 0; j < b; ++j) {
         a[r * b + j] =
             static_cast<double>(updates[active[r]][coords[j]]) - mean[j];
@@ -82,14 +100,14 @@ AggregationResult Dnc::do_aggregate(std::span<const UpdateView> updates,
     for (std::size_t j = 0; j < b; ++j) {
       v[j] = std::sin(0.37 * static_cast<double>(j + 1)) + 0.011;
     }
-    std::vector<double> av(na);
+    std::vector<double> av(nf);
     std::vector<double> vnext(b);
     for (int it = 0; it < options_.power_iterations; ++it) {
-      for (std::size_t r = 0; r < na; ++r) av[r] = tensor::dot(row(r), v);
+      for (std::size_t r = 0; r < nf; ++r) av[r] = tensor::dot(row(r), v);
       // v <- A^T (A v), accumulated row by row (same r-ascending order the
       // scalar column loop used).
       std::fill(vnext.begin(), vnext.end(), 0.0);
-      for (std::size_t r = 0; r < na; ++r) {
+      for (std::size_t r = 0; r < nf; ++r) {
         tensor::axpy(av[r], row(r), vnext);
       }
       const double norm = std::sqrt(tensor::dot(
@@ -100,12 +118,11 @@ AggregationResult Dnc::do_aggregate(std::span<const UpdateView> updates,
     }
 
     // Outlier scores: squared projection on v.
-    scores.assign(na, {});
-    for (std::size_t r = 0; r < na; ++r) {
+    for (std::size_t r = 0; r < nf; ++r) {
       const double acc = tensor::dot(row(r), v);
-      scores[r] = {acc * acc, active[r]};
+      scores.emplace_back(acc * acc, active[r]);
     }
-    std::sort(scores.begin(), scores.end());
+    std::sort(scores.begin(), scores.end(), ranked_less);
     // Discard the `discard` highest-scoring survivors this iteration (all
     // of them on tiny rounds — the fallback below recovers).
     const std::size_t kill = std::min(discard, na);

@@ -10,7 +10,9 @@
 // instead of re-discarding the same extreme outlier. The final accepted
 // set is their unweighted mean (a vetted committee, like mKrum/Bulyan);
 // if tiny rounds filter everything, the single lowest-score update of
-// the last iteration is selected as a fallback.
+// the last iteration is selected as a fallback. With sanitizing off, a row
+// with a non-finite sampled coordinate scores NaN, ranks last and is
+// discarded first.
 #pragma once
 
 #include "defense/aggregator.h"

@@ -24,15 +24,6 @@ std::size_t score_block_rows(std::size_t n) {
   return std::clamp<std::size_t>(target, 8, 256);
 }
 
-void run_chunks(std::size_t nchunks, bool parallel,
-                const std::function<void(std::size_t)>& body) {
-  if (parallel && nchunks > 1 && util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(nchunks, body);
-  } else {
-    for (std::size_t c = 0; c < nchunks; ++c) body(c);
-  }
-}
-
 }  // namespace
 
 std::vector<float> project_rows(const tensor::JlSketch& sketch,
@@ -42,12 +33,12 @@ std::vector<float> project_rows(const tensor::JlSketch& sketch,
   const std::size_t k = sketch.sketch_dim();
   const std::size_t dim = sketch.dim();
   std::vector<float> rows(n * k);
-  const bool parallel = tensor::kernel_parallelism_enabled() &&
-                        n * dim >= (std::size_t{1} << 18);
+  const bool fork =
+      tensor::kernel_fork_worthwhile(n * dim >= (std::size_t{1} << 18));
   const std::size_t nchunks =
-      parallel ? std::min(n, util::global_thread_pool().size() * 4) : 1;
+      fork ? std::min(n, util::global_thread_pool().size() * 4) : 1;
   const std::size_t per = (n + nchunks - 1) / nchunks;
-  run_chunks(nchunks, parallel, [&](std::size_t c) {
+  tensor::kernel_parallel_for(nchunks, fork, [&](std::size_t c) {
     std::vector<double> scratch(k);
     const std::size_t lo = c * per;
     const std::size_t hi = std::min(n, lo + per);
@@ -77,13 +68,13 @@ std::vector<double> sketched_krum_scores(std::span<const float> rows,
 
   const std::size_t block = score_block_rows(n);
   const std::size_t nblocks = (n + block - 1) / block;
-  const bool parallel = tensor::kernel_parallelism_enabled() &&
-                        n * k >= (std::size_t{1} << 18);
+  const bool fork =
+      tensor::kernel_fork_worthwhile(n * k >= (std::size_t{1} << 18));
   const std::size_t nchunks =
-      parallel ? std::min(nblocks, util::global_thread_pool().size() * 2) : 1;
+      fork ? std::min(nblocks, util::global_thread_pool().size() * 2) : 1;
   const std::size_t blocks_per = (nblocks + nchunks - 1) / nchunks;
 
-  run_chunks(nchunks, parallel, [&](std::size_t c) {
+  tensor::kernel_parallel_for(nchunks, fork, [&](std::size_t c) {
     std::vector<float> gram(block * n);
     std::vector<double> dists;
     dists.reserve(n - 1);

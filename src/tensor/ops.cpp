@@ -82,33 +82,21 @@ void gemm_driver(GemmLayout layout, std::int64_t m, std::int64_t n,
   if (alpha == 0.0f || k <= 0) return;
 
   const detail::GemmRangesFn ranges = backend().ranges;
-  const std::int64_t flops = 2 * m * n * k;
-  std::int64_t nchunks = 1;
-  bool by_rows = true;
-  if (g_kernel_parallelism.load(std::memory_order_relaxed) &&
-      flops >= kMinParallelFlops) {
-    const std::int64_t row_units = (m + kGemmMR - 1) / kGemmMR;
-    const std::int64_t col_units = (n + kGemmNC - 1) / kGemmNC;
-    by_rows = row_units >= col_units;
-    const std::int64_t units = by_rows ? row_units : col_units;
-    const auto threads =
-        static_cast<std::int64_t>(util::global_thread_pool().size());
-    // 2 chunks per thread for load balance; the partition never changes
-    // results, only which thread computes which tiles. A single-worker pool
-    // gains nothing from forking (the caller would just contend with its
-    // one helper), so stay inline.
-    if (threads > 1) nchunks = std::min(units, threads * 2);
-  }
-  if (nchunks <= 1) {
-    ranges(layout, m, n, k, alpha, a, b, c, 0, m, 0, n);
-    return;
-  }
-  const std::int64_t units = by_rows ? (m + kGemmMR - 1) / kGemmMR
-                                     : (n + kGemmNC - 1) / kGemmNC;
+  const std::int64_t row_units = (m + kGemmMR - 1) / kGemmMR;
+  const std::int64_t col_units = (n + kGemmNC - 1) / kGemmNC;
+  const bool by_rows = row_units >= col_units;
+  const std::int64_t units = by_rows ? row_units : col_units;
   const std::int64_t unit = by_rows ? kGemmMR : kGemmNC;
   const std::int64_t extent = by_rows ? m : n;
-  util::global_thread_pool().parallel_for(
-      static_cast<std::size_t>(nchunks), [&](std::size_t t) {
+  // 2 chunks per thread for load balance; the partition never changes
+  // results, only which thread computes which tiles. A single chunk is the
+  // whole product, computed inline.
+  const bool fork = kernel_fork_worthwhile(2 * m * n * k >= kMinParallelFlops);
+  const auto threads =
+      static_cast<std::int64_t>(util::global_thread_pool().size());
+  const std::int64_t nchunks = fork ? std::min(units, threads * 2) : 1;
+  kernel_parallel_for(
+      static_cast<std::size_t>(nchunks), fork, [&](std::size_t t) {
         const auto ti = static_cast<std::int64_t>(t);
         const std::int64_t u0 = units * ti / nchunks;
         const std::int64_t u1 = units * (ti + 1) / nchunks;
@@ -232,10 +220,9 @@ void dcheck_geometry(const ConvGeometry& g, std::int64_t batch) noexcept {
 
 // Samples are independent (disjoint column slabs / disjoint images), so a
 // parallel batch loop is deterministic. Only worth forking for real work.
-bool batch_parallel_worthwhile(const ConvGeometry& g, std::int64_t batch) {
-  return g_kernel_parallelism.load(std::memory_order_relaxed) && batch >= 4 &&
-         g.patch_size() * g.out_h() * g.out_w() * batch >= (1 << 18) &&
-         util::global_thread_pool().size() > 1;
+bool batch_worth_forking(const ConvGeometry& g, std::int64_t batch) {
+  return batch >= 4 &&
+         g.patch_size() * g.out_h() * g.out_w() * batch >= (1 << 18);
 }
 
 }  // namespace
@@ -246,6 +233,11 @@ void set_kernel_parallelism(bool enabled) noexcept {
 
 bool kernel_parallelism_enabled() noexcept {
   return g_kernel_parallelism.load(std::memory_order_relaxed);
+}
+
+bool kernel_fork_worthwhile(bool worth_forking) noexcept {
+  return kernel_parallelism_enabled() && worth_forking &&
+         util::global_thread_pool().size() > 1;
 }
 
 const char* gemm_backend_name() noexcept { return backend().name; }
@@ -312,14 +304,8 @@ void im2col_batched(const ConvGeometry& g, const float* images,
     const auto si = static_cast<std::int64_t>(s);
     im2col_one(g, images + si * image_size, col, ld, si * spatial);
   };
-  if (batch_parallel_worthwhile(g, batch)) {
-    util::global_thread_pool().parallel_for(static_cast<std::size_t>(batch),
-                                            one);
-  } else {
-    for (std::int64_t s = 0; s < batch; ++s) {
-      one(static_cast<std::size_t>(s));
-    }
-  }
+  kernel_parallel_for(static_cast<std::size_t>(batch),
+                      batch_worth_forking(g, batch), one);
 }
 
 void col2im_batched(const ConvGeometry& g, const float* col,
@@ -332,14 +318,8 @@ void col2im_batched(const ConvGeometry& g, const float* col,
     const auto si = static_cast<std::int64_t>(s);
     col2im_one(g, col, images + si * image_size, ld, si * spatial);
   };
-  if (batch_parallel_worthwhile(g, batch)) {
-    util::global_thread_pool().parallel_for(static_cast<std::size_t>(batch),
-                                            one);
-  } else {
-    for (std::int64_t s = 0; s < batch; ++s) {
-      one(static_cast<std::size_t>(s));
-    }
-  }
+  kernel_parallel_for(static_cast<std::size_t>(batch),
+                      batch_worth_forking(g, batch), one);
 }
 
 }  // namespace zka::tensor

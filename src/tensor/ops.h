@@ -29,10 +29,12 @@
 // forces every kernel single-threaded.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
 #include "tensor/tensor.h"
+#include "util/thread_pool.h"
 
 namespace zka::tensor {
 
@@ -42,6 +44,24 @@ namespace zka::tensor {
 /// parallelism at a coarser grain themselves.
 void set_kernel_parallelism(bool enabled) noexcept;
 bool kernel_parallelism_enabled() noexcept;
+
+/// The kernels' one fork gate: true when kernel parallelism is enabled,
+/// `worth_forking` (the caller's work threshold) holds and the global pool
+/// has more than one worker (a one-worker pool gains nothing from forking:
+/// the caller would only contend with its one helper).
+bool kernel_fork_worthwhile(bool worth_forking) noexcept;
+
+/// Runs body(i) for every i in [0, n): across the global pool when n > 1 and
+/// kernel_fork_worthwhile(worth_forking), serially in ascending i otherwise.
+/// A template so the serial path wraps nothing in a std::function.
+template <typename Body>
+void kernel_parallel_for(std::size_t n, bool worth_forking, const Body& body) {
+  if (n > 1 && kernel_fork_worthwhile(worth_forking)) {
+    util::global_thread_pool().parallel_for(n, body);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
+}
 
 /// Name of the GEMM backend selected for this CPU at startup:
 /// "avx512f", "avx2+fma", or "generic".

@@ -9,7 +9,6 @@
 #include "tensor/reduce_dispatch.h"
 #include "util/check.h"
 #include "util/prof.h"
-#include "util/thread_pool.h"
 
 namespace zka::tensor {
 namespace {
@@ -62,13 +61,7 @@ void for_each_block(std::size_t extent, std::size_t total_work,
     const std::size_t c0 = b * kReduceBlock;
     body(c0, std::min(extent, c0 + kReduceBlock));
   };
-  if (kernel_parallelism_enabled() && nblocks > 1 &&
-      total_work >= kMinParallelElems &&
-      util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(nblocks, run);
-  } else {
-    for (std::size_t b = 0; b < nblocks; ++b) run(b);
-  }
+  kernel_parallel_for(nblocks, total_work >= kMinParallelElems, run);
 }
 
 }  // namespace
@@ -194,12 +187,7 @@ void gram_matrix(std::span<const std::span<const float>> rows,
     std::memcpy(packed.data() + i * d, rows[i].data(), d * sizeof(float));
     sqnorms[i] = k.sqnorm_f(rows[i].data(), d);
   };
-  if (kernel_parallelism_enabled() && n > 1 && n * d >= kMinParallelElems &&
-      util::global_thread_pool().size() > 1) {
-    util::global_thread_pool().parallel_for(n, pack_row);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) pack_row(i);
-  }
+  kernel_parallel_for(n, n * d >= kMinParallelElems, pack_row);
 
   gemm_a_bt(static_cast<std::int64_t>(n), static_cast<std::int64_t>(n),
             static_cast<std::int64_t>(d), 1.0f, packed.data(), packed.data(),

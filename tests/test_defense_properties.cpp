@@ -147,17 +147,18 @@ TEST_P(DefenseProperty, SanitizeOffIsPaperFaithful) {
 }
 
 // Unsanitized NaN coordinates make NaN squared distances, in the exact
-// per-pair path (dim < 64) and in the Gram path (dim >= 64) alike. The
-// distance-based selections must stay defined on them: nothing throws, and
-// the same round selects the same updates and model bits every time.
+// per-pair path (dim < 64) and in the Gram path (dim >= 64) alike, and a NaN
+// coordinate in DnC's sampled block a NaN row. The selections must stay
+// defined on them: nothing throws, and the same round selects the same
+// updates and model bits every time.
 class NanRoundSelection
-    : public ::testing::TestWithParam<std::tuple<const char*, std::size_t>> {
+    : public ::testing::TestWithParam<
+          std::tuple<const char*, std::size_t, std::size_t>> {
  protected:
-  static constexpr std::size_t kN = 24;
   static constexpr std::size_t kNanUpdate = 5;
 
-  static std::vector<Update> nan_round(std::size_t dim) {
-    auto updates = random_updates(kN, dim, 31);
+  static std::vector<Update> nan_round(std::size_t n, std::size_t dim) {
+    auto updates = random_updates(n, dim, 31);
     updates[kNanUpdate][dim / 2] = std::numeric_limits<float>::quiet_NaN();
     return updates;
   }
@@ -169,9 +170,9 @@ class NanRoundSelection
 };
 
 TEST_P(NanRoundSelection, DeterministicWithoutSanitizing) {
-  const auto [name, dim] = GetParam();
-  const auto updates = nan_round(dim);
-  const std::vector<std::int64_t> weights(kN, 1);
+  const auto [name, n, dim] = GetParam();
+  const auto updates = nan_round(n, dim);
+  const std::vector<std::int64_t> weights(n, 1);
   AggregationResult runs[2];
   for (auto& run : runs) {
     ASSERT_NO_THROW(run = make_unsanitized(name)->aggregate(updates, weights))
@@ -186,12 +187,13 @@ TEST_P(NanRoundSelection, DeterministicWithoutSanitizing) {
 }
 
 TEST_P(NanRoundSelection, NanUpdateIsNeverSelected) {
-  // Every distance of the NaN update is NaN, and NaN ranks after +inf, so
-  // its score is NaN and never wins a pick or a rank; the other updates'
-  // scores skip the NaN distance while enough finite neighbours remain.
-  const auto [name, dim] = GetParam();
+  // The NaN update's score is NaN (all its distances are NaN; DnC scores a
+  // row with a non-finite sampled value NaN), and NaN ranks after +inf, so
+  // it never wins a pick or a rank; the other updates' scores skip the NaN
+  // distance while enough finite neighbours remain.
+  const auto [name, n, dim] = GetParam();
   const auto result = make_unsanitized(name)->aggregate(
-      nan_round(dim), std::vector<std::int64_t>(kN, 1));
+      nan_round(n, dim), std::vector<std::int64_t>(n, 1));
   EXPECT_FALSE(result.selected.empty()) << name;
   for (const std::size_t i : result.selected) EXPECT_NE(i, kNanUpdate) << name;
   for (const float v : result.model) EXPECT_TRUE(std::isfinite(v)) << name;
@@ -200,10 +202,23 @@ TEST_P(NanRoundSelection, NanUpdateIsNeverSelected) {
 INSTANTIATE_TEST_SUITE_P(
     DistanceRules, NanRoundSelection,
     ::testing::Combine(::testing::Values("krum", "mkrum", "bulyan"),
+                       ::testing::Values(std::size_t{24}),
                        ::testing::Values(std::size_t{10}, std::size_t{96})),
     [](const auto& info) {
       return std::string(std::get<0>(info.param)) + "_dim" +
-             std::to_string(std::get<1>(info.param));
+             std::to_string(std::get<2>(info.param));
+    });
+
+// DnC samples every coordinate at these dims, so the NaN reaches its block.
+INSTANTIATE_TEST_SUITE_P(
+    SpectralRule, NanRoundSelection,
+    ::testing::Combine(::testing::Values("dnc"),
+                       ::testing::Values(std::size_t{24}, std::size_t{64}),
+                       ::testing::Values(std::size_t{10}, std::size_t{96})),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param)) + "_n" +
+             std::to_string(std::get<1>(info.param)) + "_dim" +
+             std::to_string(std::get<2>(info.param));
     });
 
 TEST_P(DefenseProperty, OutputFinite) {

@@ -36,6 +36,11 @@ and that code review keeps re-litigating:
                            through util/prof (scoped timers + now_ns),
                            which is the single switchable, mergeable
                            source of timing truth.
+  R7 header-reachability   Every src/**/*.h must be #included by some file
+                           under src/, bench/, examples/ or roundbench/
+                           other than itself and its same-stem .cpp. A
+                           module that only its own tests reach is dead
+                           weight: delete it together with its test.
 
 A line can opt out with a trailing or preceding comment:
 
@@ -339,8 +344,54 @@ def lint_trust_config() -> list[str]:
     return findings
 
 
+# R7: the trees whose includes keep a src/ header alive. tests/ is left
+# out on purpose: a module reached only by its own test is dead code.
+REACH_ROOTS = ["src", "bench", "examples", "roundbench"]
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*[<"]([^>"]+)[>"]')
+
+
+def lint_header_reachability() -> list[str]:
+    """R7: flag every src/ header that nothing outside its own module
+    includes. A quoted include resolves like the compiler's search: the
+    including file's directory first, then src/ (every target's include
+    root), so roundbench's own "trace.h" never keeps a src/ header alive."""
+    src = REPO / "src"
+    reached: set[Path] = set()
+    for root_name in REACH_ROOTS:
+        for path in cxx_files(REPO / root_name):
+            # A header's own .cpp (same directory and stem) does not count
+            # as a user of it.
+            own_stem = path.resolve().with_suffix("")
+            for line in strip_comments(path.read_text(encoding="utf-8")):
+                match = INCLUDE_RE.match(line)
+                if not match:
+                    continue
+                for base in (path.parent, src):
+                    target = (base / match.group(1)).resolve()
+                    if target.is_file():
+                        if target.with_suffix("") != own_stem:
+                            reached.add(target)
+                        break
+    findings = []
+    for header in cxx_files(src):
+        if header.suffix == ".h" and header.resolve() not in reached:
+            rel = header.relative_to(REPO).as_posix()
+            findings.append(
+                f"{rel}:1: [header-reachability] no file under "
+                f"{', '.join(r + '/' for r in REACH_ROOTS)} includes this "
+                f"header; a module only its tests reach is dead: delete it "
+                f"and its test"
+            )
+    return findings
+
+
 def main() -> int:
-    findings = lint_cxx() + lint_build_files() + lint_trust_config()
+    findings = (
+        lint_cxx()
+        + lint_build_files()
+        + lint_trust_config()
+        + lint_header_reachability()
+    )
     if findings:
         print(f"check_invariants: {len(findings)} violation(s)\n")
         for f in findings:
